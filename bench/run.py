@@ -25,7 +25,6 @@ import json
 import os
 import platform
 import random
-import signal
 import statistics
 import subprocess
 import sys
@@ -49,14 +48,6 @@ def import_program():
         sys.exit(f"bench: cannot import quiverskew from {src}: {exc}")
     if not os.path.abspath(quiverskew.__file__).startswith(src + os.sep):
         sys.exit(f"bench: quiverskew came from {quiverskew.__file__}, not {src}")
-
-
-class CaseTimeout(BaseException):
-    """Raised by SIGALRM inside a case that ran past its workload's limit."""
-
-
-def _alarm(signum, frame):
-    raise CaseTimeout
 
 
 # The CPU speed of a shared host drifts: the same work took twice as long
@@ -95,44 +86,40 @@ class Reference:
 
 class Measured:
     """What ``run_cases`` saw: the wall time of each completed case, the
-    failed cases, the time spent in checks, the first check error, the
-    reference timings, and the peak resident memory (KiB) up to the first
-    failed case.
+    failed cases, the time spent in checks, the first check error, and the
+    peak resident memory (KiB) up to the first failed case.
 
     A case stopped by its time limit has grown its memory for as long as the
     CPU let it in that time, so memory is not counted once a case has failed;
     every later completed case repeats an input seen before the failure.
     """
 
-    def __init__(self, refs):
+    def __init__(self):
         self.times, self.failures, self.check_s, self.error = [], [], 0.0, None
         self.peak_kib = 0
-        self.refs = refs
 
 
 def run_cases(wl, items, tr, refs, seconds=None):
     """Run cases over ``items`` until ``seconds`` have passed (or one pass),
     timing the reference work into ``refs`` every REF_EVERY_S."""
-    m = Measured(refs)
+    from workloads import CaseTimeout, time_limit
+    m = Measured()
     start = last_ref = time.perf_counter()
     n = 0
     while True:
         for it in items:
             tr.case = f"{wl.name}:{n}"
             n += 1
-            if wl.limit_s:
-                signal.setitimer(signal.ITIMER_REAL, wl.limit_s)
             try:
-                t = time.perf_counter()
-                with tr.span("case"):
-                    out = wl.case(tr, it)
-                t = time.perf_counter() - t
-                signal.setitimer(signal.ITIMER_REAL, 0)
+                with time_limit(wl.limit_s):
+                    t = time.perf_counter()
+                    with tr.span("case"):
+                        out = wl.case(tr, it)
+                    t = time.perf_counter() - t
             except CaseTimeout:
                 m.failures.append((tr.case, f"over the {wl.limit_s} s limit"))
                 continue
             except Exception as exc:  # a program fault on a valid input
-                signal.setitimer(signal.ITIMER_REAL, 0)
                 m.failures.append((tr.case, f"{type(exc).__name__}: {exc}"))
                 continue
             m.times.append(t)
@@ -176,7 +163,6 @@ def run_one(args):
     import spans
     import workloads
 
-    signal.signal(signal.SIGALRM, _alarm)
     tr = spans.Tracer() if args.trace else spans.NullTracer()
     refs = Reference()
     cls, pool, _ = workloads.WORKLOADS[args.workload]
@@ -196,6 +182,7 @@ def run_one(args):
         m = run_cases(wl, items, tr, refs, args.seconds)
         times, failures, error = m.times, m.failures, m.error
         digests = {wl.name: wl.digest_of(items)}
+        left_out = getattr(wl, "left_out", 0)
         metrics = end_to_end(wl, m, setup_s, refs.scale()) if times else {}
         wall = end_to_end(wl, m, setup_s) if times else {}
         e2e = dict(metrics)
@@ -227,7 +214,7 @@ def run_one(args):
             "trace": args.trace, "python": platform.python_version(),
             "cores": os.cpu_count(), "input_digests": digests,
             "end_to_end": e2e, "wall_time": wall, "reference_ms": statistics.median(refs.times) * 1000,
-            "reference_samples": len(refs.times), "check_s": m.check_s, "cases": len(times),
+            "reference_samples": len(refs.times), "inputs_left_out": left_out, "check_s": m.check_s, "cases": len(times),
             "tail_percentile": wl.tail_pct, "failures": failures[:20], "error": error}
     log(info, result)
     os.makedirs(RESULTS, exist_ok=True)

@@ -9,11 +9,13 @@ the case returned.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -22,6 +24,30 @@ from quiverskew import cstar, group, io as qio, quiver, skew
 import gen
 from checks import Plain, check_blocks, check_graded, check_invariants_doc, check_iso, \
     check_k_theory, check_quotient, check_skew, check_verify_lines, check_witness, require
+
+
+class CaseTimeout(BaseException):
+    """Raised by SIGALRM in code that ran past its time limit."""
+
+
+def _alarm(signum, frame):
+    raise CaseTimeout
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise CaseTimeout inside the block after ``seconds`` (None: no limit).
+
+    The alarm interrupts pure-Python loops in-process."""
+    if not seconds:
+        yield
+        return
+    signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 class Item:
@@ -171,24 +197,41 @@ class Invariants(Workload):
     limit_s = 1.0
     whole_rounds = True
     G = gen.cyclic(3)
+    SCREEN_S = 0.5
 
     def setup(self, tr, reproducer=True):
+        """The pool, then (if ``reproducer``) the fixed 240-vertex input.
+
+        About 1 in 13 000 random acyclic draws also makes k_theory stall
+        (CHANGES.md), which would make the failed share depend on the seed.
+        Such a draw is left out, and counted in ``left_out``: every draw runs
+        k_theory once here under a limit 100 times its usual cost.
+        """
         rng, items = self.rng(), []
-        drawn = []
-        for i in range(self.pool):
-            base = gen.random_base(rng, 8, 16, acyclic=i % 2 == 0)
-            drawn.append((base, gen.random_cocycle(rng, base, self.G), self.G, i % 2 == 0))
+        self.left_out = 0
+        while len(items) < self.pool:
+            acyclic = len(items) % 2 == 0
+            base = gen.random_base(rng, 8, 16, acyclic=acyclic)
+            it = self._item(tr, base, gen.random_cocycle(rng, base, self.G), self.G, acyclic)
+            try:
+                with time_limit(self.SCREEN_S):
+                    cstar.k_theory(skew.skew_product(it.q, it.k))
+            except CaseTimeout:
+                self.left_out += 1
+                continue
+            items.append(it)
         if reproducer:
-            drawn.append(gen.k_theory_reproducer() + (False,))
-        for base, kmap, G, acyclic in drawn:
-            with tr.span("io.parse_quiver_document"):
-                q = qio.parse_quiver_document(base)
-            with tr.span("io.parse_cocycle_document"):
-                k = qio.parse_cocycle_document(gen.cocycle_doc(G, kmap), q)
-            items.append(Item(q=q, k=k, kmap=kmap, G=G, acyclic=acyclic, docs=(base, kmap),
-                              base=Plain.of_doc(base),
-                              skew=Plain.of_doc(gen.skew(base, kmap, G)), verified=None))
+            items.append(self._item(tr, *gen.k_theory_reproducer(), False))
         return items
+
+    def _item(self, tr, base, kmap, G, acyclic):
+        with tr.span("io.parse_quiver_document"):
+            q = qio.parse_quiver_document(base)
+        with tr.span("io.parse_cocycle_document"):
+            k = qio.parse_cocycle_document(gen.cocycle_doc(G, kmap), q)
+        return Item(q=q, k=k, kmap=kmap, G=G, acyclic=acyclic, docs=(base, kmap),
+                    base=Plain.of_doc(base), skew=Plain.of_doc(gen.skew(base, kmap, G)),
+                    verified=None)
 
     def digest_of(self, items):
         return gen.digest([it.docs for it in items])
