@@ -13,7 +13,15 @@ import re
 from fractions import Fraction
 
 from .quiver import Edge, FiniteQuiver
-from .group import FiniteGroup, make_cyclic, make_symmetric, validate_group, QuiverAction
+from .group import (
+    MAX_ORDER,
+    FiniteGroup,
+    GroupError,
+    QuiverAction,
+    make_cyclic,
+    make_symmetric,
+    validate_group,
+)
 from .skew import Cocycle
 
 
@@ -27,7 +35,10 @@ _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 def parse_fraction(s):
     if not isinstance(s, str) or not _FRACTION_RE.match(s):
         raise ParseError(f"weight must be a string like '3' or '5/7', got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ParseError(f"weight has a zero denominator: {s!r}") from None
 
 
 def fraction_str(f):
@@ -71,12 +82,17 @@ def emit_quiver_document(q):
 
 def parse_group_document(obj):
     kind = _require(obj, "kind", str, "group document")
-    if kind == "cyclic":
-        return make_cyclic(_require(obj, "n", int, "group document"))
-    if kind == "symmetric":
-        return make_symmetric(_require(obj, "n", int, "group document"))
+    try:
+        if kind == "cyclic":
+            return make_cyclic(_require(obj, "n", int, "group document"))
+        if kind == "symmetric":
+            return make_symmetric(_require(obj, "n", int, "group document"))
+    except GroupError as exc:
+        raise ParseError(f"group document: {exc}") from None
     if kind == "table":
         elements = _require(obj, "elements", list, "group document")
+        if len(elements) > MAX_ORDER:
+            raise ParseError(f"group document: order above {MAX_ORDER} is out of scope")
         identity = _require(obj, "identity", str, "group document")
         rows = _require(obj, "table", list, "group document")
         if len(rows) != len(elements) or any(len(r) != len(elements) for r in rows):

@@ -103,6 +103,11 @@ def quotient_quiver(q, a):
         raise SkewError(f"invalid action: {bad[0]}")
     if not is_free(q, a):
         raise SkewError("quotient requires a free action")
+    return _quotient(q, a)
+
+
+def _quotient(q, a):
+    """quotient_quiver for an action already validated and known free."""
     v_orbits, e_orbits = orbits(q, a)
     v_rep = {}
     for orb in v_orbits:
@@ -122,12 +127,6 @@ def quotient_quiver(q, a):
     proj = QuiverMorphism(v_rep, e_rep)
     assert check_morphism(q, quot, proj)
     return quot, proj
-
-
-def descend_weights(q, a):
-    """Quotient-edge weights of the orbit quiver, keyed by orbit representative."""
-    quot, _ = quotient_quiver(q, a)
-    return {e.id: e.weight for e in quot.edges}
 
 
 def lift_system(quot, total, a, edge_orbit_map):
@@ -203,7 +202,7 @@ def gross_tucker_reconstruct(q, a, section=None):
     if not is_free(q, a):
         raise SkewError("reconstruction requires a free action")
     G = a.group
-    quot, proj = quotient_quiver(q, a)
+    quot, proj = _quotient(q, a)
     if section is None:
         section = default_section(q, a)
     rep = section.representative
@@ -214,12 +213,7 @@ def gross_tucker_reconstruct(q, a, section=None):
             raise SkewError(f"section point {v!r} is not in orbit {o!r}")
 
     # g_v: the unique translator from the section point to v (freeness).
-    g_of = {}
-    for v in q.vertices:
-        base = rep[proj.vmap[v]]
-        hits = [g for g in G.elements if a.act_v(base, g) == v]
-        assert len(hits) == 1
-        g_of[v] = hits[0]
+    g_of = {a.act_v(base, g): g for base in rep.values() for g in G.elements}
 
     phi = {v: (proj.vmap[v], g_of[v]) for v in q.vertices}
     sigma = {e.id: (proj.emap[e.id], g_of[e.src]) for e in q.edges}

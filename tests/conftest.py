@@ -5,6 +5,11 @@ from fractions import Fraction
 from quiverskew import Edge, FiniteQuiver
 
 
+# Cayley table of a 5-element loop: identity 0 and a Latin square, but not
+# associative: (1*1)*2 = 2 while 1*(1*2) = 4.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
 def mk(vertices, edges):
     """Shorthand quiver builder: edges as (id, src, rng, weight)."""
     return FiniteQuiver(

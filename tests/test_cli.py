@@ -1,11 +1,18 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import quiverskew
 from quiverskew.cli import main
 from quiverskew import io as qio
 
-from conftest import mk
+from conftest import LOOP5, mk
 
 
 LOOP_DOC = {
@@ -51,6 +58,14 @@ class TestValidate:
     def test_missing_field(self, tmp_path):
         assert main(["validate", write(tmp_path / "m.json", {"vertices": []})]) == 2
 
+    def test_zero_denominator_weight_is_parse_error(self, tmp_path, capsys):
+        doc = {
+            "vertices": ["v"],
+            "edges": [{"id": "e", "src": "v", "rng": "v", "weight": "1/0"}],
+        }
+        assert main(["validate", write(tmp_path / "z.json", doc)]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+
 
 class TestSkew:
     def test_z2_loop_output(self, tmp_path, loop_file, z2_cocycle_file):
@@ -76,6 +91,29 @@ class TestSkew:
     def test_partial_cocycle_is_parse_error(self, tmp_path, loop_file):
         kf = write(tmp_path / "k.json", {"group": Z2, "map": {}})
         assert main(["skew", loop_file, kf]) == 2
+
+    def test_group_order_out_of_scope_refused_at_once(self, tmp_path, loop_file):
+        # A child process under a 1 GiB address-space limit: building the
+        # 10**12-entry table this must refuse would otherwise exhaust memory.
+        kf = write(tmp_path / "k.json", {"group": {"kind": "cyclic", "n": 10**6}, "map": {"e": "0"}})
+        env = dict(os.environ, PYTHONPATH=str(Path(quiverskew.__file__).parents[1]))
+        limit = (1 << 30, 1 << 30)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverskew.cli", "skew", loop_file, kf],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_non_associative_table_is_parse_error(self, tmp_path, loop_file, capsys):
+        group = {"kind": "table", "elements": [str(i) for i in range(5)], "identity": "0",
+                 "table": [[str(x) for x in row] for row in LOOP5]}
+        kf = write(tmp_path / "k.json", {"group": group, "map": {"e": "1"}})
+        assert main(["skew", loop_file, kf]) == 2
+        assert "associativity fails" in capsys.readouterr().err
 
 
 SWAP_QUIVER = {

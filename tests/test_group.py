@@ -1,19 +1,25 @@
+import random
+
 import pytest
 
 from quiverskew import (
+    FiniteGroup,
     QuiverAction,
     edge_free,
     is_free,
     make_cyclic,
     make_symmetric,
     orbits,
+    skew_product,
+    translation_action,
     trivial_action,
     validate_action,
     validate_group,
 )
 from quiverskew.group import GroupError
+from quiverskew.randgen import random_cocycle, random_quiver
 
-from conftest import mk
+from conftest import LOOP5, mk
 
 
 class TestMakeCyclic:
@@ -38,6 +44,10 @@ class TestMakeCyclic:
         with pytest.raises(GroupError):
             make_cyclic(0)
 
+    def test_rejects_order_out_of_scope(self):
+        with pytest.raises(GroupError):
+            make_cyclic(121)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
     def test_axioms(self, n):
         assert validate_group(make_cyclic(n)) == []
@@ -61,6 +71,42 @@ class TestMakeSymmetric:
             make_symmetric(6)
         with pytest.raises(GroupError):
             make_symmetric(0)
+
+
+@pytest.mark.parametrize("group", [
+    make_cyclic(1), make_cyclic(12), make_symmetric(3), make_symmetric(4),
+    make_symmetric(5),
+], ids=["Z1", "Z12", "S3", "S4", "S5"])
+def test_generators_generate_and_are_few(group):
+    gens = group.generators
+    assert 2 ** len(gens) <= group.order
+    closure = {group.identity}
+    while True:
+        bigger = closure | {group.mul(h, s) for h in closure for s in gens}
+        if bigger == closure:
+            break
+        closure = bigger
+    assert closure == set(group.elements)
+
+
+def table_group(rows):
+    els = [str(i) for i in range(len(rows))]
+    return FiniteGroup(
+        els, {els[i]: {els[j]: str(r[j]) for j in range(len(r))} for i, r in enumerate(rows)}, "0"
+    )
+
+
+class TestValidateGroup:
+    def test_non_associative_loop_rejected(self):
+        report = validate_group(table_group(LOOP5))
+        assert len(report) == 1 and "associativity fails" in report[0]
+
+    def test_cyclic_table_accepted(self):
+        assert validate_group(table_group([[(i + j) % 5 for j in range(5)] for i in range(5)])) == []
+
+    def test_non_permutation_row_reported_without_crash(self):
+        g = FiniteGroup(["a", "b"], {"a": {"a": "a", "b": "b"}, "b": {"a": "b", "b": "zz"}}, "a")
+        assert any("not a permutation" in r for r in validate_group(g))
 
 
 def swap_action_on_loops(w1, w2):
@@ -160,3 +206,73 @@ class TestOrbits:
         v_orbits, e_orbits = orbits(skew, act)
         assert len(v_orbits) == 1 and len(v_orbits[0]) == 4
         assert len(e_orbits) == 1 and len(e_orbits[0]) == 4
+
+
+def oracle_valid(q, a):
+    """Every action law over all elements and all pairs, checked directly."""
+    G = a.group
+    vs, es = set(q.vertices), {e.id for e in q.edges}
+    for g in G.elements:
+        vp, ep = a.vperm[g], a.eperm[g]
+        if set(vp) != vs or set(vp.values()) != vs or set(ep) != es or set(ep.values()) != es:
+            return False
+    if any(a.vperm[G.identity][v] != v for v in vs) or any(
+        a.eperm[G.identity][e] != e for e in es
+    ):
+        return False
+    for g in G.elements:
+        for h in G.elements:
+            gh = G.mul(g, h)
+            if any(a.vperm[gh][v] != a.vperm[h][a.vperm[g][v]] for v in vs):
+                return False
+            if any(a.eperm[gh][e] != a.eperm[h][a.eperm[g][e]] for e in es):
+                return False
+        for e in q.edges:
+            img = q.edge(a.eperm[g][e.id])
+            if (img.src, img.rng, img.weight) != (
+                a.vperm[g][e.src], a.vperm[g][e.rng], e.weight
+            ):
+                return False
+    return True
+
+
+def corrupt(rng, skew, act):
+    """One random corruption of a valid action or of the quiver it acts on."""
+    G = act.group
+    vperm = {g: dict(p) for g, p in act.vperm.items()}
+    eperm = {g: dict(p) for g, p in act.eperm.items()}
+    kind = rng.randrange(4)
+    if kind == 0:
+        perm = rng.choice([vperm, eperm])[rng.choice(G.elements)]
+        if len(perm) >= 2:
+            x, y = rng.sample(sorted(perm), 2)
+            perm[x], perm[y] = perm[y], perm[x]
+    elif kind == 1:
+        g, h = rng.sample(G.elements, 2)
+        for table in rng.choice([[vperm], [eperm], [vperm, eperm]]):
+            table[g], table[h] = table[h], table[g]
+    elif kind == 2:
+        # Still an action on edges, but one that may not commute with src/rng.
+        c = rng.choice(G.elements)
+        eperm = {g: act.eperm[G.mul(G.mul(G.inv(c), g), c)] for g in G.elements}
+    elif skew.edges:
+        eid = rng.choice(skew.edges).id
+        skew = skew.with_weights(
+            {e.id: e.weight + (e.id == eid) for e in skew.edges}
+        )
+    return skew, QuiverAction(G, vperm, eperm)
+
+
+@pytest.mark.parametrize("group", [make_cyclic(4), make_symmetric(3)], ids=["Z4", "S3"])
+def test_validate_action_matches_exhaustive_oracle(group):
+    rng = random.Random(f"oracle:{group.order}")
+    verdicts = []
+    for _ in range(400):
+        q = random_quiver(rng, 3, 5)
+        kappa = random_cocycle(rng, q, group)
+        skew, act = corrupt(rng, skew_product(q, kappa), translation_action(q, kappa))
+        valid = oracle_valid(skew, act)
+        assert (validate_action(skew, act) == []) == valid
+        verdicts.append(valid)
+    # Both outcomes occur, so the agreement is not vacuous.
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -1,9 +1,13 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from quiverskew import (
     Cocycle,
+    Edge,
+    FiniteQuiver,
     QuiverAction,
     Section,
     check_iso,
@@ -25,6 +29,7 @@ from quiverskew import (
     trivial_action,
     validate_action,
 )
+from quiverskew.randgen import random_cocycle, random_weight
 from quiverskew.skew import SkewError
 
 from conftest import mk
@@ -254,6 +259,25 @@ class TestGrossTucker:
         q, a = swap_loops_action()
         with pytest.raises(SkewError):
             gross_tucker_reconstruct(q, a, Section({"v": "nope"}))
+
+    def test_s5_translation_action_validates_and_reconstructs_quickly(self):
+        # 720 vertices, 1440 edges: checking the action law on all |G|^2
+        # pairs takes seconds; on a generating set, well under one.
+        rng = random.Random(5)
+        vertices = [f"v{i}" for i in range(6)]
+        q = FiniteQuiver(vertices, [
+            Edge(f"e{i}", rng.choice(vertices), rng.choice(vertices), random_weight(rng))
+            for i in range(12)
+        ])
+        kappa = random_cocycle(rng, q, make_symmetric(5))
+        skew = skew_product(q, kappa)
+        act = translation_action(q, kappa)
+        start = time.perf_counter()
+        assert validate_action(skew, act) == []
+        assert time.perf_counter() - start < 3
+        witness = gross_tucker_reconstruct(skew, act)
+        target = skew_product(witness.quotient, witness.cocycle)
+        assert check_iso(skew, target, witness.iso)
 
 
 class TestCheckSkewOrbit:
