@@ -12,11 +12,9 @@ import random
 import sys
 
 from . import io as qio
-from .quiver import validate_quiver, IsoBudgetExceeded
-from .group import validate_action, is_free
+from .quiver import QuiverError, validate_quiver, IsoBudgetExceeded
 from .skew import (
     Section,
-    default_section,
     gross_tucker_reconstruct,
     quotient_quiver,
     skew_product,
@@ -68,12 +66,8 @@ def _validated_quiver(path):
     q = _load_quiver(path)
     report = validate_quiver(q)
     if report:
-        raise DomainError("; ".join(report))
+        raise QuiverError("; ".join(report))
     return q
-
-
-class DomainError(Exception):
-    pass
 
 
 def cmd_skew(args):
@@ -84,19 +78,9 @@ def cmd_skew(args):
     return 0
 
 
-def _parse_validated_action(path, q):
-    a = qio.parse_action_document(_load_json(path), q)
-    bad = validate_action(q, a)
-    if bad:
-        raise DomainError(f"invalid action: {bad[0]}")
-    return a
-
-
 def cmd_quotient(args):
     q = _validated_quiver(args.quiver)
-    a = _parse_validated_action(args.action, q)
-    if not is_free(q, a):
-        raise DomainError("quotient requires a free action")
+    a = qio.parse_action_document(_load_json(args.action), q)
     quot, proj = quotient_quiver(q, a)
     doc = {
         "quotient": qio.emit_quiver_document(quot),
@@ -108,9 +92,8 @@ def cmd_quotient(args):
 
 def cmd_reconstruct(args):
     q = _validated_quiver(args.quiver)
-    a = _parse_validated_action(args.action, q)
-    if not is_free(q, a):
-        raise DomainError("reconstruction requires a free action")
+    a = qio.parse_action_document(_load_json(args.action), q)
+    section = None
     if args.section:
         raw = _load_json(args.section)
         if not isinstance(raw, dict) or not all(
@@ -118,8 +101,6 @@ def cmd_reconstruct(args):
         ):
             raise qio.ParseError("section document must map orbit ids to vertex ids")
         section = Section(raw)
-    else:
-        section = default_section(q, a)
     witness = gross_tucker_reconstruct(q, a, section)
     doc = {
         "quotient": qio.emit_quiver_document(witness.quotient),
@@ -133,6 +114,9 @@ def cmd_reconstruct(args):
 
 def cmd_invariants(args):
     q = _validated_quiver(args.quiver)
+    kappa = None
+    if args.cocycle:
+        kappa = qio.parse_cocycle_document(_load_json(args.cocycle), q)
     kt = k_theory(q)
     doc = {
         "regular_vertices": list(regular_vertices(q)),
@@ -146,8 +130,7 @@ def cmd_invariants(args):
     }
     if doc["acyclic"]:
         doc["block_structure"] = list(acyclic_block_structure(q).blocks)
-        if args.cocycle:
-            kappa = qio.parse_cocycle_document(_load_json(args.cocycle), q)
+        if kappa is not None:
             dims = graded_dimensions(q, kappa)
             doc["graded_dimensions"] = {g: dims[g] for g in kappa.group.elements}
     _write_out(qio.dumps(doc), args.out)
@@ -257,10 +240,7 @@ def main(argv=None):
     except qio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, IsoBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, IsoBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

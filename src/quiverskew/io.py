@@ -55,6 +55,10 @@ def _require(obj, key, typ, what):
     return val
 
 
+def _strings(items):
+    return all(isinstance(x, str) for x in items)
+
+
 def parse_quiver_document(obj):
     vertices = _require(obj, "vertices", list, "quiver document")
     raw_edges = _require(obj, "edges", list, "quiver document")
@@ -93,8 +97,12 @@ def parse_group_document(obj):
         elements = _require(obj, "elements", list, "group document")
         if len(elements) > MAX_ORDER:
             raise ParseError(f"group document: order above {MAX_ORDER} is out of scope")
+        if not _strings(elements):
+            raise ParseError("group document: elements must be strings")
         identity = _require(obj, "identity", str, "group document")
         rows = _require(obj, "table", list, "group document")
+        if not all(isinstance(r, list) and _strings(r) for r in rows):
+            raise ParseError("group document: table rows must be lists of strings")
         if len(rows) != len(elements) or any(len(r) != len(elements) for r in rows):
             raise ParseError("group document: table shape must be n x n")
         table = {
@@ -114,7 +122,7 @@ def parse_cocycle_document(obj, q):
     mapping = _require(obj, "map", dict, "cocycle document")
     els = set(group.elements)
     for eid, g in mapping.items():
-        if g not in els:
+        if not isinstance(g, str) or g not in els:
             raise ParseError(f"cocycle document: {g!r} is not a group element")
     for e in q.edges:
         if e.id not in mapping:
@@ -129,6 +137,11 @@ def parse_action_document(obj, q):
     for g in group.elements:
         if g not in vperm or g not in eperm:
             raise ParseError(f"action document: missing permutations for {g!r}")
+        for perm in (vperm[g], eperm[g]):
+            if not isinstance(perm, dict) or not _strings(perm.values()):
+                raise ParseError(
+                    f"action document: permutation for {g!r} must map strings to strings"
+                )
     return QuiverAction(
         group,
         {g: dict(vperm[g]) for g in group.elements},

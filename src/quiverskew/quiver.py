@@ -105,7 +105,6 @@ class QuiverMorphism:
 @dataclass(frozen=True)
 class QuiverIso:
     forward: QuiverMorphism
-    backward: QuiverMorphism
 
 
 def validate_quiver(q):
@@ -160,20 +159,24 @@ def is_weight_preserving(src_q, dst_q, m):
     )
 
 
+def _bijection(m, dom, cod):
+    return m.keys() == dom and set(m.values()) == cod and len(dom) == len(cod)
+
+
 def check_iso(a, b, iso):
-    """Full exact verification of a QuiverIso between a and b."""
-    f, g = iso.forward, iso.backward
-    if not check_morphism(a, b, f) or not check_morphism(b, a, g):
-        return False
-    if any(g.vmap[f.vmap[v]] != v for v in a.vertices):
-        return False
-    if any(f.vmap[g.vmap[v]] != v for v in b.vertices):
-        return False
-    if any(g.emap[f.emap[e.id]] != e.id for e in a.edges):
-        return False
-    if any(f.emap[g.emap[e.id]] != e.id for e in b.edges):
-        return False
-    return is_weight_preserving(a, b, f) and is_weight_preserving(b, a, g)
+    """True iff ``iso.forward`` is a bijection a -> b on vertices and on
+    edges that commutes with src and rng and keeps weights.
+
+    Its inverse is then an isomorphism b -> a.  A partial map, or one that
+    is not a bijection onto b, gives False.
+    """
+    f = iso.forward
+    return (
+        _bijection(f.vmap, set(a.vertices), set(b.vertices))
+        and _bijection(f.emap, {e.id for e in a.edges}, {e.id for e in b.edges})
+        and check_morphism(a, b, f)
+        and is_weight_preserving(a, b, f)
+    )
 
 
 def _vertex_signature(q, v):
@@ -260,11 +263,6 @@ def iso_search(a, b, budget=200_000):
         key = (assignment[e.src], assignment[e.rng], e.weight)
         emap[e.id] = pool[key].pop(0)
 
-    forward = QuiverMorphism(dict(assignment), emap)
-    backward = QuiverMorphism(
-        {w: v for v, w in assignment.items()},
-        {f: e for e, f in emap.items()},
-    )
-    iso = QuiverIso(forward, backward)
+    iso = QuiverIso(QuiverMorphism(dict(assignment), emap))
     assert check_iso(a, b, iso)
     return iso

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .quiver import (
     Edge,
     FiniteQuiver,
-    QuiverError,
     QuiverIso,
     QuiverMorphism,
     check_iso,
@@ -176,17 +175,6 @@ class GrossTuckerWitness:
     iso: QuiverIso  # q -> skew_product(quotient, cocycle), in pair-id form
 
 
-def _witness_iso(q, skew, phi, sigma):
-    vmap = {v: skew_vertex_id(*phi[v]) for v in q.vertices}
-    emap = {e.id: skew_edge_id(*sigma[e.id]) for e in q.edges}
-    forward = QuiverMorphism(vmap, emap)
-    backward = QuiverMorphism(
-        {w: v for v, w in vmap.items()},
-        {f: e for e, f in emap.items()},
-    )
-    return QuiverIso(forward, backward)
-
-
 def gross_tucker_reconstruct(q, a, section=None):
     """Exhibit a free action as a skew product of its quotient.
 
@@ -201,7 +189,6 @@ def gross_tucker_reconstruct(q, a, section=None):
         raise SkewError(f"invalid action: {bad[0]}")
     if not is_free(q, a):
         raise SkewError("reconstruction requires a free action")
-    G = a.group
     quot, proj = _quotient(q, a)
     if section is None:
         section = default_section(q, a)
@@ -211,6 +198,14 @@ def gross_tucker_reconstruct(q, a, section=None):
     for o, v in rep.items():
         if proj.vmap.get(v) != o:
             raise SkewError(f"section point {v!r} is not in orbit {o!r}")
+    return _reconstruct(q, a, quot, proj, section)
+
+
+def _reconstruct(q, a, quot, proj, section):
+    """gross_tucker_reconstruct for a valid free action, its quotient and
+    projection, and a section of its vertex orbits."""
+    G = a.group
+    rep = section.representative
 
     # g_v: the unique translator from the section point to v (freeness).
     g_of = {a.act_v(base, g): g for base in rep.values() for g in G.elements}
@@ -225,7 +220,10 @@ def gross_tucker_reconstruct(q, a, section=None):
     kappa = Cocycle(G, kmap)
 
     skew = skew_product(quot, kappa)
-    iso = _witness_iso(q, skew, phi, sigma)
+    iso = QuiverIso(QuiverMorphism(
+        {v: skew_vertex_id(*phi[v]) for v in q.vertices},
+        {e.id: skew_edge_id(*sigma[e.id]) for e in q.edges},
+    ))
     if not check_iso(q, skew, iso):
         raise SkewOrbitError("reconstructed witness failed isomorphism verification")
     # G-equivariance of the trivializations.
@@ -241,17 +239,9 @@ def gross_tucker_reconstruct(q, a, section=None):
     return GrossTuckerWitness(quot, kappa, phi, sigma, iso)
 
 
-def check_skew_orbit(q, kappa):
-    """Verify quotient(skew_product(q, kappa)) ~ q via first-factor projection.
-
-    Returns the verified QuiverIso from the quotient onto q.  A failure
-    here raises SkewOrbitError: it indicates an implementation bug.
-    """
-    G = kappa.group
-    skew = skew_product(q, kappa)
-    act = translation_action(q, kappa)
-    quot, _ = quotient_quiver(skew, act)
-
+def _first_factor_iso(q, G, quot):
+    """The first-factor map (x, g) -> x from the quotient of a skew product
+    of q by G under translation onto q; unchecked."""
     # Each orbit representative is some (x, g); its first factor is the
     # canonical image.  Recover it from the construction, not by string
     # parsing, since vertex ids are opaque.
@@ -263,22 +253,20 @@ def check_skew_orbit(q, kappa):
     for e in q.edges:
         for g in G.elements:
             e_first[skew_edge_id(e.id, g)] = e.id
+    return QuiverIso(QuiverMorphism(
+        {o: v_first[o] for o in quot.vertices},
+        {e.id: e_first[e.id] for e in quot.edges},
+    ))
 
-    vmap = {o: v_first[o] for o in quot.vertices}
-    emap = {e.id: e_first[e.id] for e in quot.edges}
-    forward = QuiverMorphism(vmap, emap)
-    backward = QuiverMorphism(
-        {v: o for o, v in vmap.items()},
-        {f: o for o, f in emap.items()},
-    )
-    iso = QuiverIso(forward, backward)
-    ok = (
-        len(quot.vertices) == len(q.vertices)
-        and len(quot.edges) == len(q.edges)
-        and len(set(vmap.values())) == len(vmap)
-        and len(set(emap.values())) == len(emap)
-        and check_iso(quot, q, iso)
-    )
-    if not ok:
+
+def check_skew_orbit(q, kappa):
+    """Verify quotient(skew_product(q, kappa)) ~ q via first-factor projection.
+
+    Returns the verified QuiverIso from the quotient onto q.  A failure
+    here raises SkewOrbitError: it indicates an implementation bug.
+    """
+    quot, _ = quotient_quiver(skew_product(q, kappa), translation_action(q, kappa))
+    iso = _first_factor_iso(q, kappa.group, quot)
+    if not check_iso(quot, q, iso):
         raise SkewOrbitError("canonical skew-orbit isomorphism failed to verify")
     return iso

@@ -1,27 +1,29 @@
 """Self-checking theorem suite run by the CLI and the acceptance tests.
 
-Each check is an executed exact assertion; the driver reports PASS/FAIL
-per check in a fixed order.  A fault can be injected (one mutated weight
-in the computed skew product) to exercise the failure path.
+Each check is an executed exact assertion that ``python -O`` keeps; the
+suite reports PASS/FAIL per check in a fixed order.  The translation action
+is validated once and its quotient built once; the checks that need the
+quotient share it, and each fails with the first violation when the action
+is invalid.  An isomorphism is its forward maps, verified by ``check_iso``.
+A fault can be injected (one mutated weight in the computed skew product)
+to exercise the failure path.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .quiver import FiniteQuiver, Edge
+from .quiver import FiniteQuiver, Edge, check_iso
 from .group import edge_free, is_free, orbits, validate_action
 from .skew import (
     Section,
-    check_skew_orbit,
-    default_section,
-    gross_tucker_reconstruct,
-    quotient_quiver,
+    SkewError,
+    _first_factor_iso,
+    _quotient,
+    _reconstruct,
     lift_system,
     skew_product,
     translation_action,
-    skew_edge_id,
 )
 from .cstar import (
     acyclic_block_structure,
@@ -53,6 +55,12 @@ def all_sections(q, a, budget):
     return out
 
 
+def _require(ok, *detail):
+    """An assert that ``python -O`` keeps."""
+    if not ok:
+        raise AssertionError(*detail)
+
+
 def run_suite(q, kappa, section_budget=24, inject_fault=False):
     """Run the full theorem suite on (q, kappa); returns [(name, ok, detail)]."""
     results = []
@@ -68,43 +76,44 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
     if inject_fault:
         skew = _mutate_one_weight(skew)
     act = translation_action(q, kappa)
+    # The action is validated once; every check below that needs its
+    # quotient shares one.  A valid translation action is free, since
+    # (x, h).g == (x, h) forces g to be the identity.
+    bad = validate_action(skew, act)
+    if not bad:
+        quot, proj = _quotient(skew, act)
+
+    def quotient():
+        if bad:
+            raise SkewError(f"invalid action: {bad[0]}")
+        return quot, proj
 
     def chk_action():
-        bad = validate_action(skew, act)
-        assert not bad, bad[0]
-        assert is_free(skew, act)
-        assert edge_free(skew, act), "non-identity element fixes an edge"
+        if bad:
+            raise AssertionError(bad[0])
+        _require(is_free(skew, act))
+        _require(edge_free(skew, act), "non-identity element fixes an edge")
 
     check("translation-action-free", chk_action)
 
     def chk_orbit():
-        clean = skew_product(q, kappa)
-        if inject_fault:
-            # Run the recovery against the faulted product via its quotient.
-            faulted_quot, _ = quotient_quiver(skew, act)
-            from .quiver import iso_search
-            assert iso_search(faulted_quot, q) is not None, "orbit quiver differs from base"
-        else:
-            check_skew_orbit(q, kappa)
+        quot, _ = quotient()
+        iso = _first_factor_iso(q, kappa.group, quot)
+        _require(check_iso(quot, q, iso), "orbit quiver differs from base")
 
     check("skew-orbit-recovery", chk_orbit)
 
     def chk_gross_tucker():
+        quot, proj = quotient()
         for section in all_sections(skew, act, section_budget):
-            gross_tucker_reconstruct(skew, act, section)
+            _reconstruct(skew, act, quot, proj, section)
 
     check("gross-tucker-roundtrip", chk_gross_tucker)
 
     def chk_descent_lift():
-        quot, proj = quotient_quiver(skew, act)
+        quot, proj = quotient()
         lifted = lift_system(quot, skew, act, proj.emap)
-        assert lifted == {e.id: e.weight for e in skew.edges}
-        # lift of descended weights, then descend again: exact identity
-        relifted = skew.with_weights(lifted)
-        quot2, _ = quotient_quiver(relifted, act)
-        assert {e.id: e.weight for e in quot2.edges} == {
-            e.id: e.weight for e in quot.edges
-        }
+        _require(lifted == {e.id: e.weight for e in skew.edges})
 
     check("measure-descent-lift", chk_descent_lift)
 
@@ -112,9 +121,9 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
         def chk_blocks():
             direct = acyclic_block_structure(skew)
             predicted = coaction_crossed_product_blocks(q, kappa)
-            assert direct == predicted, f"{direct.blocks} != {predicted.blocks}"
+            _require(direct == predicted, f"{direct.blocks} != {predicted.blocks}")
             base = acyclic_block_structure(q)
-            assert direct.total_dimension == kappa.group.order * base.total_dimension
+            _require(direct.total_dimension == kappa.group.order * base.total_dimension)
 
         check("block-multiset-identity", chk_blocks)
 
@@ -122,14 +131,14 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
             base = acyclic_block_structure(q)
             dual = dual_crossed_product_blocks(q, kappa)
             n = kappa.group.order
-            assert dual.blocks == tuple(sorted(b * n for b in base.blocks))
-            assert len(dual.blocks) == len(base.blocks)
+            _require(dual.blocks == tuple(sorted(b * n for b in base.blocks)))
+            _require(len(dual.blocks) == len(base.blocks))
 
         check("dual-action-morita-shadow", chk_morita)
 
         def chk_graded():
             dims = graded_dimensions(q, kappa)
-            assert sum(dims.values()) == acyclic_block_structure(q).total_dimension
+            _require(sum(dims.values()) == acyclic_block_structure(q).total_dimension)
 
         check("graded-dimension-sum", chk_graded)
 

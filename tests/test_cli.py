@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import resource
@@ -7,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quiverskew
 from quiverskew.cli import main
@@ -174,11 +178,7 @@ class TestReconstruct:
         q = qio.parse_quiver_document(SWAP_QUIVER)
         vmap = {v: skew_vertex_id(*pair) for v, pair in doc["phi"].items()}
         emap = {e: skew_edge_id(*pair) for e, pair in doc["sigma"].items()}
-        fwd = QuiverMorphism(vmap, emap)
-        bwd = QuiverMorphism(
-            {b: a for a, b in vmap.items()}, {b: a for a, b in emap.items()}
-        )
-        assert check_iso(q, target, QuiverIso(fwd, bwd))
+        assert check_iso(q, target, QuiverIso(QuiverMorphism(vmap, emap)))
 
     def test_explicit_section(self, tmp_path, capsys):
         qf = write(tmp_path / "q.json", SWAP_QUIVER)
@@ -316,3 +316,233 @@ class TestRoundtrip:
             ],
         }
         assert qio.emit_quiver_document(qio.parse_quiver_document(doc)) == doc
+
+
+S3 = {"kind": "symmetric", "n": 3}
+S3_CYCLIC = (
+    {"vertices": ["v", "w"],
+     "edges": [{"id": "a", "src": "v", "rng": "w", "weight": "2/7"},
+               {"id": "b", "src": "w", "rng": "v", "weight": "1"},
+               {"id": "c", "src": "v", "rng": "v", "weight": "3"}]},
+    {"group": S3, "map": {"a": "231", "b": "321", "c": "213"}},
+)
+S3_ACYCLIC = (
+    {"vertices": ["u", "v", "w"],
+     "edges": [{"id": "a", "src": "u", "rng": "v", "weight": "1"},
+               {"id": "b", "src": "v", "rng": "w", "weight": "1/2"},
+               {"id": "c", "src": "u", "rng": "w", "weight": "1"}]},
+    {"group": S3, "map": {"a": "231", "b": "132", "c": "123"}},
+)
+Z1_LOOP = (LOOP_DOC, {"group": {"kind": "cyclic", "n": 1}, "map": {"e": "0"}})
+
+S3_FAULT = "weight equivariance fails for edge 'a@123' under '132'"
+SUITE_PASS = (
+    "PASS translation-action-free\n"
+    "PASS skew-orbit-recovery\n"
+    "PASS gross-tucker-roundtrip\n"
+    "PASS measure-descent-lift\n"
+)
+SUITE_S3_FAULT = (
+    f"FAIL translation-action-free (AssertionError: {S3_FAULT})\n"
+    f"FAIL skew-orbit-recovery (SkewError: invalid action: {S3_FAULT})\n"
+    f"FAIL gross-tucker-roundtrip (SkewError: invalid action: {S3_FAULT})\n"
+    f"FAIL measure-descent-lift (SkewError: invalid action: {S3_FAULT})\n"
+)
+BLOCKS_PASS = (
+    "PASS block-multiset-identity\n"
+    "PASS dual-action-morita-shadow\n"
+    "PASS graded-dimension-sum\n"
+)
+
+
+class TestGolden:
+    """Exact CLI output, byte for byte, on fixed inputs."""
+
+    @pytest.mark.parametrize("fixture, fault, code, out", [
+        (S3_CYCLIC, False, 0, SUITE_PASS),
+        (S3_CYCLIC, True, 1, SUITE_S3_FAULT),
+        (S3_ACYCLIC, False, 0, SUITE_PASS + BLOCKS_PASS),
+        (S3_ACYCLIC, True, 1, SUITE_S3_FAULT + BLOCKS_PASS),
+        (Z1_LOOP, False, 0, SUITE_PASS),
+        (Z1_LOOP, True, 1,
+         "PASS translation-action-free\n"
+         "FAIL skew-orbit-recovery (AssertionError: orbit quiver differs from base)\n"
+         "PASS gross-tucker-roundtrip\n"
+         "PASS measure-descent-lift\n"),
+    ], ids=["s3-cyclic", "s3-cyclic-fault", "s3-acyclic", "s3-acyclic-fault",
+            "z1", "z1-fault"])
+    def test_verify(self, tmp_path, capsys, fixture, fault, code, out):
+        qf = write(tmp_path / "q.json", fixture[0])
+        kf = write(tmp_path / "k.json", fixture[1])
+        argv = ["verify", qf, kf] + (["--inject-fault"] if fault else [])
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, "")
+
+    IDENT = {"v": "v", "w": "w"}
+    SWAP = {"v": "w", "w": "v"}
+    NOT_AN_ACTION = {"group": Z2, "vperm": {"0": SWAP, "1": SWAP},
+                     "eperm": {"0": {"a": "b", "b": "a"}, "1": {"a": "b", "b": "a"}}}
+    NOT_FREE = {"group": Z2, "vperm": {"0": IDENT, "1": IDENT},
+                "eperm": {"0": {"a": "a", "b": "b"}, "1": {"a": "a", "b": "b"}}}
+
+    @pytest.mark.parametrize("command, action, err", [
+        ("quotient", NOT_AN_ACTION,
+         "error: invalid action: identity element does not act as the identity\n"),
+        ("quotient", NOT_FREE, "error: quotient requires a free action\n"),
+        ("reconstruct", NOT_AN_ACTION,
+         "error: invalid action: identity element does not act as the identity\n"),
+        ("reconstruct", NOT_FREE, "error: reconstruction requires a free action\n"),
+    ], ids=["quotient-invalid", "quotient-not-free", "reconstruct-invalid",
+            "reconstruct-not-free"])
+    def test_action_errors(self, tmp_path, capsys, command, action, err):
+        qf = write(tmp_path / "q.json", SWAP_QUIVER)
+        af = write(tmp_path / "a.json", action)
+        assert main([command, qf, af]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_verify_fails_under_python_O(self, tmp_path):
+        qf = write(tmp_path / "q.json", S3_CYCLIC[0])
+        kf = write(tmp_path / "k.json", S3_CYCLIC[1])
+        env = dict(os.environ, PYTHONPATH=str(Path(quiverskew.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "quiverskew.cli", "verify", qf, kf, "--inject-fault"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == SUITE_S3_FAULT
+
+
+def test_run_suite_validates_and_takes_the_quotient_once(monkeypatch):
+    from quiverskew import skew as skew_mod, verify as verify_mod
+
+    calls = {"validate_action": 0, "_quotient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for mod in (skew_mod, verify_mod):
+        for name in calls:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    q = qio.parse_quiver_document(S3_CYCLIC[0])
+    kappa = qio.parse_cocycle_document(S3_CYCLIC[1], q)
+    assert all(ok for _, ok, _ in verify_mod.run_suite(q, kappa))
+    assert calls == {"validate_action": 1, "_quotient": 1}
+
+
+TABLE_Z2 = {"kind": "table", "elements": ["0", "1"], "identity": "0",
+            "table": [["0", "1"], ["1", "0"]]}
+
+
+class TestDocumentTypes:
+    """Wrong JSON types inside group, cocycle and action documents are
+    parse errors, not tracebacks."""
+
+    @pytest.mark.parametrize("cocycle", [
+        {"group": Z2, "map": {"e": ["1"]}},
+        {"group": dict(TABLE_Z2, elements=["0", ["1"]]), "map": {"e": "1"}},
+        {"group": dict(TABLE_Z2, table=[["0", "1"], 5]), "map": {"e": "1"}},
+        {"group": dict(TABLE_Z2, table=[["0", "1"], ["1", 0]]), "map": {"e": "1"}},
+    ], ids=["map-value-list", "element-list", "row-number", "entry-number"])
+    def test_cocycle(self, tmp_path, loop_file, capsys, cocycle):
+        kf = write(tmp_path / "k.json", cocycle)
+        assert main(["skew", loop_file, kf]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("perms", [
+        {"vperm": {"0": 5, "1": {"v": "w", "w": "v"}}},
+        {"eperm": {"0": {"a": "a", "b": "b"}, "1": {"a": ["b"], "b": "a"}}},
+    ], ids=["vperm-number", "eperm-value-list"])
+    def test_action(self, tmp_path, capsys, perms):
+        qf = write(tmp_path / "q.json", SWAP_QUIVER)
+        af = write(tmp_path / "a.json", dict(SWAP_ACTION, **perms))
+        assert main(["quotient", qf, af]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_invariants_parses_the_cocycle_on_a_cyclic_quiver(tmp_path, loop_file):
+    kf = write(tmp_path / "k.json", {"group": Z2})
+    assert main(["invariants", loop_file, "--cocycle", kf]) == 2
+
+
+def test_reconstruct_parses_the_section_before_checking_the_action(tmp_path, capsys):
+    qf = write(tmp_path / "q.json", SWAP_QUIVER)
+    af = write(tmp_path / "a.json", TestGolden.NOT_AN_ACTION)
+    sf = write(tmp_path / "s.json", ["v"])
+    assert main(["reconstruct", qf, af, "--section", sf]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: section document must map orbit ids to vertex ids\n"
+    )
+
+
+NAMES = st.sampled_from(["0", "1", "12", "v", "a", "e"])
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 6), NAMES),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(NAMES, inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+DELETE = object()
+
+
+def _paths(doc, path=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _paths(v, path + (k,))
+
+
+def _edit(doc, edits):
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        try:
+            parent = doc
+            for k in path[:-1]:
+                parent = parent[k]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed this path
+    return doc
+
+
+def broken(*docs):
+    """Valid documents with one or two fields removed or replaced by any
+    JSON value, at any depth; or any JSON value."""
+    return st.one_of(JSON, st.sampled_from(docs).flatmap(lambda doc: st.builds(
+        _edit, st.just(doc), st.lists(
+            st.tuples(st.sampled_from(list(_paths(doc))), st.one_of(st.just(DELETE), JSON)),
+            min_size=1, max_size=2,
+        ),
+    )))
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(deadline=None, max_examples=100)
+@given(command=st.sampled_from(["skew", "verify", "invariants"]),
+       cocycle=broken(*({"group": g, "map": {"a": "1", "b": "1"}}
+                        for g in (Z2, TABLE_Z2, {"kind": "symmetric", "n": 2}))))
+def test_fuzz_cocycle_documents(tmp_path_factory, command, cocycle):
+    d = tmp_path_factory.mktemp("fuzz")
+    qf, kf = write(d / "q.json", SWAP_QUIVER), write(d / "k.json", cocycle)
+    argv = [command, qf, "--cocycle", kf] if command == "invariants" else [command, qf, kf]
+    assert run_quietly(argv) in (0, 1, 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(command=st.sampled_from(["quotient", "reconstruct"]),
+       action=broken(SWAP_ACTION, dict(SWAP_ACTION, group=TABLE_Z2)))
+def test_fuzz_action_documents(tmp_path_factory, command, action):
+    d = tmp_path_factory.mktemp("fuzz")
+    qf, af = write(d / "q.json", SWAP_QUIVER), write(d / "a.json", action)
+    assert run_quietly([command, qf, af]) in (0, 1, 2)

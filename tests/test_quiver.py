@@ -6,6 +6,7 @@ from quiverskew import (
     Edge,
     FiniteQuiver,
     IsoBudgetExceeded,
+    QuiverIso,
     QuiverMorphism,
     check_iso,
     check_morphism,
@@ -59,6 +60,32 @@ class TestCheckMorphism:
         q = mk(["v"], [("e", "v", "v", 1)])
         with pytest.raises(QuiverError):
             check_morphism(q, q, QuiverMorphism({"v": "v"}, {}))
+
+
+class TestCheckIso:
+    TWO_LOOPS = mk(["v", "w"], [("a", "v", "v", 1), ("b", "w", "w", 1)])
+
+    def test_swap_is_an_iso(self):
+        q = self.TWO_LOOPS
+        swap = QuiverMorphism({"v": "w", "w": "v"}, {"a": "b", "b": "a"})
+        assert check_iso(q, q, QuiverIso(swap))
+
+    @pytest.mark.parametrize("vmap, emap", [
+        ({"v": "v", "w": "v"}, {"a": "a", "b": "a"}),  # not injective
+        ({"v": "v", "w": "w"}, {"a": "a", "b": "a"}),  # not injective on edges
+        ({"v": "v"}, {"a": "a"}),  # partial
+        ({"v": "v", "w": "w", "x": "x"}, {"a": "a", "b": "b"}),  # off the domain
+        ({"v": "v", "w": "x"}, {"a": "a", "b": "b"}),  # outside the target
+    ], ids=["vertices-not-injective", "edges-not-injective", "partial",
+            "extra-vertex", "outside-target"])
+    def test_not_a_bijection_is_false(self, vmap, emap):
+        q = self.TWO_LOOPS
+        assert check_iso(q, q, QuiverIso(QuiverMorphism(vmap, emap))) is False
+
+    def test_not_surjective_is_false(self):
+        a = mk(["v"], [("e", "v", "v", 1)])
+        b = mk(["v", "w"], [("e", "v", "v", 1)])
+        assert check_iso(a, b, QuiverIso(QuiverMorphism({"v": "v"}, {"e": "e"}))) is False
 
 
 class TestIsoSearch:
