@@ -12,14 +12,17 @@ import random
 import sys
 
 from . import io as qio
-from .quiver import QuiverError, validate_quiver, IsoBudgetExceeded
+from .group import GroupError
+from .quiver import QuiverError, validate_quiver
 from .skew import (
     Section,
+    SkewError,
     gross_tucker_reconstruct,
     quotient_quiver,
     skew_product,
 )
 from .cstar import (
+    CStarError,
     acyclic_block_structure,
     graded_dimensions,
     is_acyclic,
@@ -35,16 +38,24 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSON syntax, bytes that are not UTF-8 and
+        # integers with more digits than int() accepts.
         raise qio.ParseError(f"{path}: {exc}") from None
 
 
 def _write_out(text, out):
-    if out:
+    """Write ``text`` to the file ``out``, or to stdout; return the exit code."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _load_quiver(path):
@@ -74,8 +85,7 @@ def cmd_skew(args):
     q = _validated_quiver(args.quiver)
     kappa = qio.parse_cocycle_document(_load_json(args.cocycle), q)
     product = skew_product(q, kappa)
-    _write_out(qio.dumps(qio.emit_quiver_document(product)), args.out)
-    return 0
+    return _write_out(qio.dumps(qio.emit_quiver_document(product)), args.out)
 
 
 def cmd_quotient(args):
@@ -86,8 +96,7 @@ def cmd_quotient(args):
         "quotient": qio.emit_quiver_document(quot),
         "projection": {"vmap": proj.vmap, "emap": proj.emap},
     }
-    _write_out(qio.dumps(doc), args.out)
-    return 0
+    return _write_out(qio.dumps(doc), args.out)
 
 
 def cmd_reconstruct(args):
@@ -108,8 +117,7 @@ def cmd_reconstruct(args):
         "phi": {v: list(pair) for v, pair in witness.phi.items()},
         "sigma": {e: list(pair) for e, pair in witness.sigma.items()},
     }
-    _write_out(qio.dumps(doc), args.out)
-    return 0
+    return _write_out(qio.dumps(doc), args.out)
 
 
 def cmd_invariants(args):
@@ -133,44 +141,41 @@ def cmd_invariants(args):
         if kappa is not None:
             dims = graded_dimensions(q, kappa)
             doc["graded_dimensions"] = {g: dims[g] for g in kappa.group.elements}
-    _write_out(qio.dumps(doc), args.out)
-    return 0
+    return _write_out(qio.dumps(doc), args.out)
+
+
+def _random_cases(n, seed):
+    """N seeded random (label, quiver, cocycle) cases."""
+    rng = random.Random(seed)
+    for i in range(n):
+        q = random_quiver(rng)
+        yield f"case{i:03d} ", q, random_cocycle(rng, q, random_group(rng))
 
 
 def cmd_verify(args):
     if args.random:
-        rng = random.Random(args.seed)
-        failures = 0
-        for i in range(args.random):
-            q = random_quiver(rng)
-            kappa = random_cocycle(rng, q, random_group(rng))
-            results = run_suite(q, kappa, section_budget=args.budget)
-            for name, ok, detail in results:
-                tag = "PASS" if ok else "FAIL"
-                suffix = f" ({detail})" if detail else ""
-                print(f"{tag} case{i:03d} {name}{suffix}")
-                failures += not ok
-        return 1 if failures else 0
-    if not args.quiver or not args.cocycle:
+        cases = _random_cases(args.random, args.seed)
+    elif not args.quiver or not args.cocycle:
         raise qio.ParseError("verify requires a quiver and a cocycle (or --random N)")
-    q = _validated_quiver(args.quiver)
-    kappa = qio.parse_cocycle_document(_load_json(args.cocycle), q)
-    results = run_suite(
-        q, kappa, section_budget=args.budget, inject_fault=args.inject_fault
-    )
+    else:
+        q = _validated_quiver(args.quiver)
+        cases = [("", q, qio.parse_cocycle_document(_load_json(args.cocycle), q))]
     failures = 0
-    for name, ok, detail in results:
-        tag = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"{tag} {name}{suffix}")
-        failures += not ok
+    for label, q, kappa in cases:
+        results = run_suite(
+            q, kappa, section_budget=args.budget, inject_fault=args.inject_fault
+        )
+        for name, ok, detail in results:
+            tag = "PASS" if ok else "FAIL"
+            suffix = f" ({detail})" if detail else ""
+            print(f"{tag} {label}{name}{suffix}")
+            failures += not ok
     return 1 if failures else 0
 
 
 def cmd_export_dot(args):
     q = _validated_quiver(args.quiver)
-    _write_out(qio.export_dot(q), args.out)
-    return 0
+    return _write_out(qio.export_dot(q), args.out)
 
 
 def build_parser():
@@ -240,7 +245,7 @@ def main(argv=None):
     except qio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IsoBudgetExceeded) as exc:
+    except (QuiverError, GroupError, SkewError, CStarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

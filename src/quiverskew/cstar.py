@@ -174,118 +174,99 @@ class SmithNormalForm:
 def smith_normal_form(M):
     """Exact integer Smith normal form with unimodular witnesses U M V = D.
 
-    Pivoting is deterministic: smallest-magnitude nonzero entry of the
-    remaining submatrix, first position (row-major) on ties.
+    Stage t works on the submatrix of rows and columns t, t+1, ...  Each
+    step moves its smallest-magnitude nonzero entry, the first one in
+    row-major order on ties, to (t, t) as a positive pivot p, and subtracts
+    floor multiples of row and column t from the others.  A step that
+    leaves a remainder in row or column t is repeated.  Once both are
+    clear, the stage ends if p divides every entry left; otherwise a row
+    holding an entry p does not divide is added to row t.  The loop ends:
+    a step is repeated only after a nonzero remainder below p is left, and
+    the added row leaves one in row t, so the pivot's magnitude strictly
+    falls until it divides the rest.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
     A = [list(map(int, row)) for row in M]
+    m = len(A)
+    n = len(A[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # Locate the pivot.
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = A[i][j]
-                if a and (pivot is None or abs(a) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if A[t][t] < 0:
-            negate_row(t)
-
-        # Clear row and column t; new smaller residues restart the pass.
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    qt = A[i][t] // A[t][t]
-                    add_row(i, t, -qt)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        if A[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    qt = A[t][j] // A[t][t]
-                    add_col(j, t, -qt)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        if A[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            if not dirty:
-                # Enforce divisibility of the remaining submatrix: fold a
-                # non-divisible column into the pivot column and re-clear,
-                # which strictly shrinks the pivot.
-                found = False
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if A[i][j] % A[t][t]:
-                            add_col(t, j, 1)
-                            dirty = True
-                            found = True
-                            break
-                    if found:
-                        break
-        t += 1
-
-    diag = [A[i][i] for i in range(min(m, n))]
+    diag = _smith_diagonal(A, U, V)
     return SmithNormalForm(tuple(diag), tuple(map(tuple, U)), tuple(map(tuple, V)))
+
+
+def _smith_diagonal(A, U=None, V=None):
+    """Reduce A (a list of row lists) in place to Smith normal form and
+    return its diagonal.  Row operations are applied to U and column
+    operations to V when they are given."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = [A] if U is None else [A, U]
+    cols = [A] if V is None else [A, V]
+    for t in range(min(m, n)):
+        while True:
+            pivot = None
+            for i in range(t, m):
+                row = A[i]
+                for j in range(t, n):
+                    a = abs(row[j])
+                    if a and (pivot is None or a < pivot[0]):
+                        pivot = (a, i, j)
+                        if a == 1:
+                            break
+                if pivot and pivot[0] == 1:
+                    break
+            if pivot is None:
+                return [A[i][i] for i in range(min(m, n))]
+            _, pi, pj = pivot
+            for W in rows:
+                W[t], W[pi] = W[pi], W[t]
+            for W in cols:
+                for row in W:
+                    row[t], row[pj] = row[pj], row[t]
+            if A[t][t] < 0:
+                for W in rows:
+                    W[t] = [-a for a in W[t]]
+            p = A[t][t]
+            for i in range(t + 1, m):
+                c = A[i][t] // p
+                if c:
+                    for W in rows:
+                        W[i] = [a - c * b for a, b in zip(W[i], W[t])]
+            quotients = [(j, A[t][j] // p) for j in range(t + 1, n) if A[t][j]]
+            for W in cols:
+                for row in W:
+                    for j, c in quotients:
+                        row[j] -= c * row[t]
+            if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1:]):
+                continue
+            if p == 1:
+                break
+            rest = next((i for i in range(t + 1, m) if any(a % p for a in A[i][t + 1:])), None)
+            if rest is None:
+                break
+            for W in rows:
+                W[t] = [a + b for a, b in zip(W[t], W[rest])]
+    return [A[i][i] for i in range(min(m, n))]
 
 
 def k_theory(q):
     """K0 (invariant factors and free rank) and K1 rank of the quiver algebra.
 
     Built from the map Z^R -> Z^V with column v in R given by
-    M[w][v] = A[v][w] - delta_{v,w}; K0 is the cokernel, K1 the kernel.
+    M[w][v] = (number of edges w -> v) - delta_{v,w}; K0 is the cokernel,
+    K1 the kernel.  Only the diagonal of its Smith normal form is computed.
     Convention is anchored by the 3-loop quiver, whose K0 must be Z/2.
     """
-    A = vertex_matrix(q)
     idx = {v: i for i, v in enumerate(q.vertices)}
     reg = regular_vertices(q)
     n = len(q.vertices)
     M = [[0] * len(reg) for _ in range(n)]
     for c, v in enumerate(reg):
-        for w in q.vertices:
-            M[idx[w]][c] = A[idx[v]][idx[w]] - (1 if v == w else 0)
-    if reg:
-        snf = smith_normal_form(M)
-        nonzero = [d for d in snf.diagonal if d != 0]
-    else:
-        nonzero = []
+        M[idx[v]][c] = -1
+    col = {v: c for c, v in enumerate(reg)}
+    for e in q.edges:
+        M[idx[e.src]][col[e.rng]] += 1
+    nonzero = [d for d in _smith_diagonal(M) if d]
     rank = len(nonzero)
     return KTheory(
         k0_invariant_factors=tuple(d for d in nonzero if d >= 2),

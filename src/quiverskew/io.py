@@ -39,6 +39,8 @@ def parse_fraction(s):
         return Fraction(s)
     except ZeroDivisionError:
         raise ParseError(f"weight has a zero denominator: {s!r}") from None
+    except ValueError as exc:  # more digits than int() accepts
+        raise ParseError(f"weight: {exc}") from None
 
 
 def fraction_str(f):

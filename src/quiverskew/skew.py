@@ -226,8 +226,10 @@ def _reconstruct(q, a, quot, proj, section):
     ))
     if not check_iso(q, skew, iso):
         raise SkewOrbitError("reconstructed witness failed isomorphism verification")
-    # G-equivariance of the trivializations.
-    for g in G.elements:
+    # G-equivariance of the trivializations.  Checking the generators
+    # suffices: the action is a homomorphism (validated on G x S), so
+    # equivariance extends to G by induction on word length.
+    for g in G.generators:
         for v in q.vertices:
             o, h = phi[v]
             if phi[a.act_v(v, g)] != (o, G.mul(h, g)):

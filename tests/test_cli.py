@@ -71,6 +71,38 @@ class TestValidate:
         assert "zero denominator" in capsys.readouterr().err
 
 
+class TestBoundary:
+    """Unreadable input and unwritable output end in one message line and
+    exit 2, never a traceback."""
+
+    def test_document_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"vertices": ["\u00e9"], "edges": []}'.encode("latin-1"))
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "'utf-8' codec can't decode" in err
+
+    def test_nesting_too_deep(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_weight_with_too_many_digits(self, tmp_path, capsys):
+        doc = {"vertices": ["v"],
+               "edges": [{"id": "e", "src": "v", "rng": "v", "weight": "1" * 5000}]}
+        assert main(["validate", write(tmp_path / "big.json", doc)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: weight: ")
+
+    def test_out_path_not_writable(self, tmp_path, loop_file, z2_cocycle_file, capsys):
+        out = tmp_path / "no-such-dir" / "skew.json"
+        assert main(["skew", loop_file, z2_cocycle_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+
+
 class TestSkew:
     def test_z2_loop_output(self, tmp_path, loop_file, z2_cocycle_file):
         out = tmp_path / "skew.json"
@@ -265,6 +297,13 @@ class TestVerify:
         out1 = capsys.readouterr().out
         assert main(["verify", "--random", "3", "--seed", "42"]) == 0
         assert capsys.readouterr().out == out1
+
+    def test_random_mode_injected_fault_fails(self, capsys):
+        assert main(["verify", "--random", "2", "--seed", "0", "--inject-fault"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith(("PASS case00", "FAIL case00")) for line in lines)
+        assert any(line.startswith("FAIL case000 ") for line in lines)
+        assert any(line.startswith("FAIL case001 ") for line in lines)
 
     def test_missing_args(self):
         assert main(["verify"]) == 2

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,9 @@ from quiverskew import (
     smith_normal_form,
     vertex_matrix,
 )
-from quiverskew.cstar import CStarError, path_range
+from quiverskew.cstar import CStarError, KTheory, path_range
+from quiverskew.quiver import Edge, FiniteQuiver
+from quiverskew.randgen import random_acyclic_quiver, random_cocycle, random_quiver
 
 from conftest import mk
 
@@ -139,6 +143,40 @@ class TestSmithNormalForm:
             M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
             check_snf(M)
 
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(7)
+        for _ in range(60):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+            expect = invariant_factors(sympy.Matrix(M), domain=sympy.ZZ)
+            assert smith_normal_form(M).diagonal == tuple(int(d) for d in expect)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+    def expire(*_):
+        raise TimeoutError(f"not done in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def k_theory_matrix(q):
+    """The map Z^R -> Z^V whose cokernel and kernel k_theory reads."""
+    A = vertex_matrix(q)
+    idx = {v: i for i, v in enumerate(q.vertices)}
+    reg = regular_vertices(q)
+    return [[A[idx[v]][idx[w]] - (v == w) for v in reg] for w in q.vertices]
+
 
 class TestKTheory:
     def test_o2_trivial_k0(self):
@@ -171,6 +209,37 @@ class TestKTheory:
         assert kt.k0_invariant_factors == ()
         assert kt.k0_free_rank == 1
         assert kt.k1_rank == 1
+
+    def test_240_vertex_z12_skew_product(self):
+        # Third draw over the cases (10,20,Z/6), (20,40,Z/6), (20,40,Z/12);
+        # its Smith normal form once ran for minutes with exploding entries.
+        rng = random.Random(1)
+        for nv, ne, n in [(10, 20, 6), (20, 40, 6), (20, 40, 12)]:
+            V = [f"v{i}" for i in range(nv)]
+            q = FiniteQuiver(
+                V, [Edge(f"e{i}", rng.choice(V), rng.choice(V), 1) for i in range(ne)]
+            )
+            kappa = random_cocycle(rng, q, make_cyclic(n))
+        skew = skew_product(q, kappa)
+        assert len(skew.vertices) == 240
+        with deadline(10):
+            kt = k_theory(skew)
+        assert kt.k0_invariant_factors == (8, 8)
+        assert kt.k0_free_rank == 12
+        assert kt.k1_rank == 0
+
+    def test_witness_free_path_agrees_with_smith_normal_form(self):
+        rng = random.Random(4)
+        cases = [(n, make) for n in (4, 5) for make in (random_quiver, random_acyclic_quiver)]
+        with deadline(10):
+            for n, make in cases * 10:
+                q = make(rng)
+                skew = skew_product(q, random_cocycle(rng, q, make_cyclic(n)))
+                M = k_theory_matrix(skew)
+                d = [x for x in smith_normal_form(M).diagonal if x]
+                assert k_theory(skew) == KTheory(
+                    tuple(x for x in d if x > 1), len(M) - len(d), len(M[0]) - len(d)
+                )
 
 
 class TestAcyclic:
