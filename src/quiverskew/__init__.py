@@ -45,14 +45,11 @@ from .cstar import (
     is_acyclic,
     regular_vertices,
     vertex_matrix,
-    path_space,
-    paths_from,
+    path_counts,
     smith_normal_form,
     k_theory,
     acyclic_block_structure,
     graded_dimensions,
-    coaction_crossed_product_blocks,
-    dual_crossed_product_blocks,
 )
 from .verify import run_suite, all_sections
 

@@ -139,8 +139,7 @@ def cmd_invariants(args):
     if doc["acyclic"]:
         doc["block_structure"] = list(acyclic_block_structure(q).blocks)
         if kappa is not None:
-            dims = graded_dimensions(q, kappa)
-            doc["graded_dimensions"] = {g: dims[g] for g in kappa.group.elements}
+            doc["graded_dimensions"] = graded_dimensions(q, kappa)
     return _write_out(qio.dumps(doc), args.out)
 
 

@@ -7,6 +7,12 @@ K-groups come from the Smith normal form of the vertex matrix minus the
 identity, restricted to regular columns.  Weights never enter: these
 invariants depend only on the underlying multigraph.
 
+Paths are counted, never listed: one pass in reverse topological order
+gives, for each vertex, the number of paths from it of each degree.  The
+block checks in ``verify`` compare a skew product's counts with the base's:
+its blocks, its counts summed over translation orbits, and its counts into
+the identity layer (see there).
+
 Path convention: a path p = e1 e2 ... en has s(e_i) = r(e_{i+1}),
 s(p) = s(en), r(p) = r(e1); the trivial path at v has s = r = v.
 A cocycle extends to paths by kappa(p) = kappa(e1) * ... * kappa(en).
@@ -22,19 +28,22 @@ class CStarError(ValueError):
     pass
 
 
-def is_acyclic(q):
-    """True iff the quiver has no directed cycle (Kahn's algorithm)."""
+def _topological_order(q):
+    """The vertices with every edge's source before its range (Kahn's
+    algorithm), or None when the quiver has a directed cycle."""
     indeg = {v: len(q.in_edges(v)) for v in q.vertices}
-    queue = [v for v in q.vertices if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+    order = [v for v in q.vertices if indeg[v] == 0]
+    for v in order:  # grows while it is read
         for e in q.out_edges(v):
             indeg[e.rng] -= 1
             if indeg[e.rng] == 0:
-                queue.append(e.rng)
-    return seen == len(q.vertices)
+                order.append(e.rng)
+    return order if len(order) == len(q.vertices) else None
+
+
+def is_acyclic(q):
+    """True iff the quiver has no directed cycle."""
+    return _topological_order(q) is not None
 
 
 def regular_vertices(q):
@@ -52,32 +61,29 @@ def vertex_matrix(q):
     return A
 
 
-def paths_from(q, v):
-    """All directed paths with source v, as tuples of edge ids (trivial = ()).
+def _path_counts(q, start, step):
+    """For each vertex u, a Counter of the paths with source u by degree,
+    from one pass in reverse topological order.
 
-    Requires an acyclic quiver.  A path extends on the left: e * p is a path
-    when s(e) = r(p).
+    The trivial path at u has degree start(u); a path p * e, with e an
+    out-edge of u and p a path with source r(e), has degree step(deg p, e).
+    Raises CStarError on a quiver with a cycle, whose paths are infinite.
     """
-    out = [()]
-    stack = [((), v)]
-    while stack:
-        p, r = stack.pop()
-        for e in q.out_edges(r):
-            ext = (e.id,) + p
-            out.append(ext)
-            stack.append((ext, e.rng))
-    return out
+    order = _topological_order(q)
+    if order is None:
+        raise CStarError("path counts require an acyclic quiver")
+    F = {}
+    for u in reversed(order):
+        c = F[u] = Counter({start(u): 1})
+        for e in q.out_edges(u):
+            for x, n in F[e.rng].items():
+                c[step(x, e)] += n
+    return F
 
 
-def path_space(q):
-    """Path lists per source vertex; finite only for acyclic quivers."""
-    if not is_acyclic(q):
-        raise CStarError("path space is infinite for cyclic quivers")
-    return {v: paths_from(q, v) for v in q.vertices}
-
-
-def path_range(q, p, source):
-    return q.edge(p[0]).rng if p else source
+def path_counts(q):
+    """Number of paths with source v, for each vertex v of an acyclic quiver."""
+    return {v: c[0] for v, c in _path_counts(q, lambda v: 0, lambda x, e: 0).items()}
 
 
 @dataclass(frozen=True)
@@ -109,59 +115,31 @@ def acyclic_block_structure(q):
     source w; the Cuntz-Krieger relation at regular vertices absorbs their
     projections into the blocks of the sources feeding them.
     """
-    if not is_acyclic(q):
-        raise CStarError("block structure requires an acyclic quiver")
+    counts = path_counts(q)
     reg = set(regular_vertices(q))
-    sizes = [len(paths_from(q, w)) for w in q.vertices if w not in reg]
-    return BlockStructure.of(sizes)
+    return BlockStructure.of(counts[w] for w in q.vertices if w not in reg)
 
 
 def graded_dimensions(q, kappa):
-    """Dimension of each group-degree component under the cocycle grading.
+    """Dimension of each group-degree component under the cocycle grading,
+    keyed by the group's elements in order.
 
-    The span of s_p s_q* for paths p, q with a common source contributes 1
-    to degree kappa(p) * kappa(q)^{-1}.  Values sum to the algebra's total
+    The span of s_p s_q* for paths p, q with a common non-regular source w
+    contributes 1 to degree kappa(p) * kappa(q)^{-1}.  With F_w(x) the
+    number of paths from w of degree x, dims[g] is the sum over w of
+    F_w(x) * F_w(y) over x * y^{-1} = g.  Values sum to the algebra's total
     dimension.
     """
-    if not is_acyclic(q):
-        raise CStarError("graded dimensions require an acyclic quiver")
     G = kappa.group
+    F = _path_counts(q, lambda v: G.identity, lambda x, e: G.mul(x, kappa.value(e.id)))
     reg = set(regular_vertices(q))
-    dims = Counter()
-
-    def kpath(p):
-        val = G.identity
-        for eid in p:
-            val = G.mul(val, kappa.value(eid))
-        return val
-
+    dims = dict.fromkeys(G.elements, 0)
     for w in q.vertices:
-        if w in reg:
-            continue
-        degs = [kpath(p) for p in paths_from(q, w)]
-        for dp in degs:
-            for dq in degs:
-                dims[G.mul(dp, G.inv(dq))] += 1
-    return {g: dims.get(g, 0) for g in G.elements}
-
-
-def coaction_crossed_product_blocks(q, kappa):
-    """Predicted blocks of the coaction crossed product: each block of the
-    base algebra repeated once per group element, without building the skew
-    product."""
-    base = acyclic_block_structure(q)
-    n = kappa.group.order
-    return BlockStructure.of([b for b in base.blocks for _ in range(n)])
-
-
-def dual_crossed_product_blocks(q, kappa):
-    """Predicted blocks of the skew product's algebra crossed by the dual
-    translation action: the action permutes the |G| group sectors of each
-    non-regular vertex freely and transitively, fusing them into one block
-    of size N_w * |G| (the blocks of the base algebra tensored with M_|G|)."""
-    base = acyclic_block_structure(q)
-    n = kappa.group.order
-    return BlockStructure.of([b * n for b in base.blocks])
+        if w not in reg:
+            for x, m in F[w].items():
+                for y, n in F[w].items():
+                    dims[G.mul(x, G.inv(y))] += m * n
+    return dims
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,9 @@ def skew_edge_id(eid, g):
 def skew_product(q, kappa):
     """The skew product quiver q x_kappa G with canonical pair ids v@g, e@g."""
     G = kappa.group
+    elements = set(G.elements)
     for e in q.edges:
-        if kappa.value(e.id) not in set(G.elements):
+        if kappa.value(e.id) not in elements:
             raise SkewError(f"cocycle value for edge {e.id!r} is not a group element")
     vertices = [skew_vertex_id(v, g) for v in q.vertices for g in G.elements]
     edges = []

@@ -1,8 +1,22 @@
 import itertools
+import random
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
-from quiverskew import Edge, FiniteQuiver
+from quiverskew import (
+    BlockStructure,
+    Edge,
+    FiniteQuiver,
+    make_cyclic,
+    orbits,
+    path_counts,
+    regular_vertices,
+    skew_product,
+    translation_action,
+)
+from quiverskew.randgen import random_cocycle
 
 
 # Cayley table of a 5-element loop: identity 0 and a Latin square, but not
@@ -32,3 +46,65 @@ def brute_iso_exists(a, b):
         if ca == cb:
             return True
     return False
+
+
+def paths_from(q, v):
+    """Reference oracle: every directed path with source v, as a tuple of
+    edge ids (trivial = ()), listed one by one.
+
+    Requires an acyclic quiver.  A path extends on the left: e * p is a path
+    when s(e) = r(p).
+    """
+    out = [()]
+    stack = [((), v)]
+    while stack:
+        p, r = stack.pop()
+        for e in q.out_edges(r):
+            ext = (e.id,) + p
+            out.append(ext)
+            stack.append((ext, e.rng))
+    return out
+
+
+def path_range(q, p, source):
+    return q.edge(p[0]).rng if p else source
+
+
+def orbit_fused_blocks(q, kappa):
+    """Blocks of the skew product's algebra crossed by the translation
+    action: the path counts of its non-regular vertices, summed over each
+    translation orbit."""
+    skew = skew_product(q, kappa)
+    counts = path_counts(skew)
+    reg = set(regular_vertices(skew))
+    v_orbits, _ = orbits(skew, translation_action(q, kappa))
+    return BlockStructure.of(
+        sum(counts[u] for u in orb) for orb in v_orbits if orb[0] not in reg
+    )
+
+
+def chain(length):
+    """Chain(L): vertices v0..v{L-1}, three parallel weight-1 edges
+    v_i -> v_{i+1}, and a seeded Z/4 cocycle.  Its algebra is one block of
+    size (3^L - 1) / 2."""
+    vertices = [f"v{i}" for i in range(length)]
+    q = FiniteQuiver(vertices, [
+        Edge(f"e{i}_{j}", vertices[i], vertices[i + 1], 1)
+        for i in range(length - 1) for j in range(3)
+    ])
+    return q, random_cocycle(random.Random(0), q, make_cyclic(4))
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+    def expire(*_):
+        raise TimeoutError(f"not done in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

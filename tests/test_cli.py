@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiverskew
+from quiverskew import BlockStructure
+from quiverskew import verify as verify_mod
 from quiverskew.cli import main
 from quiverskew import io as qio
 
-from conftest import LOOP5, mk
+from conftest import LOOP5, chain, deadline, mk
 
 
 LOOP_DOC = {
@@ -469,6 +471,73 @@ def test_run_suite_validates_and_takes_the_quotient_once(monkeypatch):
     kappa = qio.parse_cocycle_document(S3_CYCLIC[1], q)
     assert all(ok for _, ok, _ in verify_mod.run_suite(q, kappa))
     assert calls == {"validate_action": 1, "_quotient": 1}
+
+
+def verify_s3_acyclic(tmp_path, capsys):
+    """`verify` on the S3 acyclic fixture: (exit code, stdout lines)."""
+    qf = write(tmp_path / "q.json", S3_ACYCLIC[0])
+    kf = write(tmp_path / "k.json", S3_ACYCLIC[1])
+    code = main(["verify", qf, kf])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def only_fails(lines, name):
+    assert len(lines) == 7
+    fails = [line for line in lines if not line.startswith("PASS ")]
+    assert len(fails) == 1 and fails[0].startswith(f"FAIL {name} (AssertionError")
+
+
+def test_block_multiset_identity_fails_when_one_skew_block_is_off(tmp_path, capsys, monkeypatch):
+    real = verify_mod.acyclic_block_structure
+
+    def skew_off_by_one(q):
+        blocks = real(q).blocks
+        if len(q.vertices) > 3:  # the skew product, not the base
+            blocks = blocks[:-1] + (blocks[-1] + 1,)
+        return BlockStructure(blocks)
+
+    monkeypatch.setattr(verify_mod, "acyclic_block_structure", skew_off_by_one)
+    code, lines = verify_s3_acyclic(tmp_path, capsys)
+    assert code == 1
+    only_fails(lines, "block-multiset-identity")
+
+
+def test_morita_shadow_fails_when_one_path_count_is_off(tmp_path, capsys, monkeypatch):
+    real = verify_mod.path_counts
+
+    def one_more(q):
+        counts = real(q)
+        counts[q.vertices[0]] += 1  # u@123; u receives no edge
+        return counts
+
+    monkeypatch.setattr(verify_mod, "path_counts", one_more)
+    code, lines = verify_s3_acyclic(tmp_path, capsys)
+    assert code == 1
+    only_fails(lines, "dual-action-morita-shadow")
+
+
+@pytest.mark.parametrize("degree", ["123", "132", "213", "231", "312", "321"])
+def test_graded_dimension_sum_fails_when_one_degree_is_off(tmp_path, capsys, monkeypatch, degree):
+    real = verify_mod.graded_dimensions
+
+    def off_by_one(q, kappa):
+        dims = real(q, kappa)
+        dims[degree] += 1
+        return dims
+
+    monkeypatch.setattr(verify_mod, "graded_dimensions", off_by_one)
+    code, lines = verify_s3_acyclic(tmp_path, capsys)
+    assert code == 1
+    only_fails(lines, "graded-dimension-sum")
+
+
+def test_run_suite_on_a_long_chain():
+    q, kappa = chain(40)
+    with deadline(1):
+        results = verify_mod.run_suite(q, kappa)
+    assert [(name, ok) for name, ok, _ in results] == [
+        (line[5:], True) for line in (SUITE_PASS + BLOCKS_PASS).splitlines()
+    ]
 
 
 TABLE_Z2 = {"kind": "table", "elements": ["0", "1"], "identity": "0",

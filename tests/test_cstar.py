@@ -1,35 +1,35 @@
 import itertools
+import json
 import math
 import random
-import signal
-from contextlib import contextmanager
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from quiverskew import (
     Cocycle,
+    BlockStructure,
     acyclic_block_structure,
-    coaction_crossed_product_blocks,
-    dual_crossed_product_blocks,
     graded_dimensions,
     is_acyclic,
     k_theory,
     make_cyclic,
     make_symmetric,
-    path_space,
-    paths_from,
+    path_counts,
     regular_vertices,
     skew_product,
     skew_vertex_id,
     smith_normal_form,
     vertex_matrix,
 )
-from quiverskew.cstar import CStarError, KTheory, path_range
+from quiverskew import io as qio
+from quiverskew.cli import main
+from quiverskew.cstar import CStarError, KTheory
 from quiverskew.quiver import Edge, FiniteQuiver
 from quiverskew.randgen import random_acyclic_quiver, random_cocycle, random_quiver
 
-from conftest import mk
+from conftest import chain, deadline, mk, orbit_fused_blocks, path_range, paths_from
 
 
 def o_n_quiver(n):
@@ -155,21 +155,6 @@ class TestSmithNormalForm:
             assert smith_normal_form(M).diagonal == tuple(int(d) for d in expect)
 
 
-@contextmanager
-def deadline(seconds):
-    """Fail, rather than hang, when the body runs past ``seconds``."""
-    def expire(*_):
-        raise TimeoutError(f"not done in {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def k_theory_matrix(q):
     """The map Z^R -> Z^V whose cokernel and kernel k_theory reads."""
     A = vertex_matrix(q)
@@ -256,14 +241,17 @@ class TestAcyclic:
 
 class TestPaths:
     def test_path_space_rejects_cyclic(self):
+        kappa = Cocycle(make_cyclic(2), {"e0": "1"})
         with pytest.raises(CStarError):
-            path_space(o_n_quiver(1))
+            acyclic_block_structure(o_n_quiver(1))
+        with pytest.raises(CStarError):
+            graded_dimensions(o_n_quiver(1), kappa)
 
     def test_single_edge_paths(self):
         q = single_edge()
-        ps = path_space(q)
-        assert sorted(ps["w"]) == [(), ("e",)]
-        assert ps["v"] == [()]
+        assert sorted(paths_from(q, "w")) == [(), ("e",)]
+        assert paths_from(q, "v") == [()]
+        assert path_counts(q) == {"w": 2, "v": 1}
 
     def test_composition_convention(self):
         # w -> v -> u: the length-2 path from w is (f, e) with r = u.
@@ -271,6 +259,69 @@ class TestPaths:
         ps = paths_from(q, "w")
         assert ("f", "e") in ps
         assert path_range(q, ("f", "e"), "w") == "u"
+        # In S3 the degrees of (f, e) under the two orders differ.
+        kappa = Cocycle(make_symmetric(3), {"e": "213", "f": "132"})
+        assert graded_dimensions(q, kappa) == oracle_graded_dimensions(q, kappa)
+
+
+def kpath(kappa, p):
+    """kappa(p) = kappa(e1) * ... * kappa(en) for p = (e1, ..., en)."""
+    G = kappa.group
+    val = G.identity
+    for eid in p:
+        val = G.mul(val, kappa.value(eid))
+    return val
+
+
+def oracle_blocks(q):
+    reg = set(regular_vertices(q))
+    return BlockStructure.of(len(paths_from(q, w)) for w in q.vertices if w not in reg)
+
+
+def oracle_graded_dimensions(q, kappa):
+    """One count per pair of listed paths with a common non-regular source."""
+    G = kappa.group
+    reg = set(regular_vertices(q))
+    dims = Counter()
+    for w in q.vertices:
+        if w not in reg:
+            degs = [kpath(kappa, p) for p in paths_from(q, w)]
+            for x in degs:
+                for y in degs:
+                    dims[G.mul(x, G.inv(y))] += 1
+    return {g: dims[g] for g in G.elements}
+
+
+GROUPS = {f"Z{n}": make_cyclic(n) for n in range(1, 7)} | {"S3": make_symmetric(3)}
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_counts_match_listed_paths(name):
+    G = GROUPS[name]
+    rng = random.Random(name)
+    for _ in range(30):
+        q = random_acyclic_quiver(rng)
+        kappa = random_cocycle(rng, q, G)
+        assert acyclic_block_structure(q) == oracle_blocks(q)
+        skew = skew_product(q, kappa)
+        assert acyclic_block_structure(skew) == oracle_blocks(skew)
+        assert graded_dimensions(q, kappa) == oracle_graded_dimensions(q, kappa)
+
+
+class TestChain:
+    """Chain(40) has about 6 * 10^18 paths; counting them takes milliseconds."""
+
+    def test_block_and_invariants(self, tmp_path, capsys):
+        q, kappa = chain(40)
+        qf, kf = tmp_path / "q.json", tmp_path / "k.json"
+        qf.write_text(qio.dumps(qio.emit_quiver_document(q)))
+        kf.write_text(json.dumps({"group": {"kind": "cyclic", "n": 4}, "map": kappa.map}))
+        with deadline(1):
+            assert acyclic_block_structure(q).blocks == ((3 ** 40 - 1) // 2,)
+            assert main(["invariants", str(qf), "--cocycle", str(kf)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["block_structure"] == [(3 ** 40 - 1) // 2]
+        assert sum(rep["graded_dimensions"].values()) == ((3 ** 40 - 1) // 2) ** 2
 
 
 class TestBlockStructure:
@@ -323,27 +374,30 @@ class TestGradedDimensions:
 
 
 class TestCrossedProductBlocks:
+    """The coaction crossed product is the skew product's algebra; the
+    dual-action one fuses each translation orbit of its blocks."""
+
     def test_trivial_group(self):
         q = single_edge()
         kappa = Cocycle(make_cyclic(1), {"e": "0"})
-        assert coaction_crossed_product_blocks(q, kappa) == acyclic_block_structure(q)
-        assert dual_crossed_product_blocks(q, kappa) == acyclic_block_structure(q)
+        assert acyclic_block_structure(skew_product(q, kappa)) == acyclic_block_structure(q)
+        assert orbit_fused_blocks(q, kappa) == acyclic_block_structure(q)
 
     def test_single_edge_z2(self):
         q = single_edge()
         kappa = Cocycle(make_cyclic(2), {"e": "1"})
-        co = coaction_crossed_product_blocks(q, kappa)
+        co = acyclic_block_structure(skew_product(q, kappa))
         assert co.blocks == (2, 2)
         assert co.total_dimension == 8
-        du = dual_crossed_product_blocks(q, kappa)
+        du = orbit_fused_blocks(q, kappa)
         assert du.blocks == (4,)
         assert du.total_dimension == 16
 
     def test_isolated_vertex_z3(self):
         q = mk(["v"], [])
         kappa = Cocycle(make_cyclic(3), {})
-        assert coaction_crossed_product_blocks(q, kappa).blocks == (1, 1, 1)
-        assert dual_crossed_product_blocks(q, kappa).blocks == (3,)
+        assert acyclic_block_structure(skew_product(q, kappa)).blocks == (1, 1, 1)
+        assert orbit_fused_blocks(q, kappa).blocks == (3,)
 
 
 class TestPathLifting:
@@ -359,12 +413,6 @@ class TestPathLifting:
         kappa = Cocycle(g, {e.id: rng.choice(g.elements) for e in q.edges})
         skew = skew_product(q, kappa)
 
-        def kpath(p):
-            val = g.identity
-            for eid in p:
-                val = g.mul(val, kappa.value(eid))
-            return val
-
         for w in q.vertices:
             base_paths = paths_from(q, w)
             for h in g.elements:
@@ -377,7 +425,7 @@ class TestPathLifting:
                 assert projected == sorted(base_paths)
                 for p in base_paths:
                     expect_rng = skew_vertex_id(
-                        path_range(q, p, w), g.mul(kpath(p), h)
+                        path_range(q, p, w), g.mul(kpath(kappa, p), h)
                     )
                     hits = [
                         lp
