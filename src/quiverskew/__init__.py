@@ -18,7 +18,6 @@ from .group import (
     make_symmetric,
     validate_group,
     validate_action,
-    trivial_action,
     is_free,
     edge_free,
     orbits,

@@ -164,13 +164,6 @@ class QuiverAction:
         return self.eperm[g][eid]
 
 
-def trivial_action(q, group):
-    idv = {v: v for v in q.vertices}
-    ide = {e.id: e.id for e in q.edges}
-    return QuiverAction(group, {g: dict(idv) for g in group.elements},
-                        {g: dict(ide) for g in group.elements})
-
-
 def _composes(p, r, pr):
     """True iff pr[x] == r[p[x]] for every x, for permutations p, r, pr of
     one set (apply p, then r)."""

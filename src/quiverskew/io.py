@@ -156,14 +156,18 @@ def dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
+def _dot_quote(s):
+    """A DOT quoted string: backslash and double quote escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(q):
     """Graphviz digraph with edge labels 'id:weight'."""
     lines = ["digraph quiver {"]
     for v in q.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_quote(v)};")
     for e in q.edges:
-        lines.append(
-            f'  "{e.src}" -> "{e.rng}" [label="{e.id}:{fraction_str(e.weight)}"];'
-        )
+        label = _dot_quote(f"{e.id}:{fraction_str(e.weight)}")
+        lines.append(f"  {_dot_quote(e.src)} -> {_dot_quote(e.rng)} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from collections import Counter
+from collections import Counter, deque
 
 
 class QuiverError(ValueError):
@@ -18,7 +18,14 @@ class QuiverError(ValueError):
 
 
 class IsoBudgetExceeded(RuntimeError):
-    """Raised when the backtracking isomorphism search exceeds its node budget."""
+    """Raised when the isomorphism search needs more nodes than its budget.
+
+    ``nodes`` is the number of nodes it had used when it stopped.
+    """
+
+    def __init__(self, nodes, budget):
+        super().__init__(f"iso_search used {nodes} nodes, over its budget of {budget}")
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -179,90 +186,210 @@ def check_iso(a, b, iso):
     )
 
 
-def _vertex_signature(q, v):
-    out_w = tuple(sorted(e.weight for e in q.out_edges(v)))
-    in_w = tuple(sorted(e.weight for e in q.in_edges(v)))
-    loop_w = tuple(sorted(e.weight for e in q.out_edges(v) if e.rng == v))
-    return (len(out_w), len(in_w), out_w, in_w, loop_w)
+class _Colouring:
+    """An ordered partition of the vertices 0..2n-1 of a ⊔ b (a's first),
+    refined jointly so that a colour means the same thing on both sides.
 
+    ``lab`` lists the vertices cell by cell: a cell is ``lab[s:s + size[s]]``
+    and ``cell[v]`` is the start s of v's cell.  Cells only ever split, and
+    ``trail`` holds the start of every cell a split made, so ``undo`` can
+    merge back to any earlier colouring without copying it.  ``adj[v]`` lists
+    ``(u, code)`` per edge between v and u, where code is +w for an edge
+    u -> v of weight id w and -w for v -> u: what u sees of v.
+    """
 
-def _pair_weights(q):
-    """Weight multiset of parallel edges, keyed by (src, rng)."""
-    table = {}
-    for e in q.edges:
-        table.setdefault((e.src, e.rng), Counter())[e.weight] += 1
-    return table
+    def __init__(self, n, adj):
+        self.n, self.adj = n, adj
+        self.lab = list(range(2 * n))
+        self.pos = list(range(2 * n))
+        self.cell = [0] * (2 * n)
+        self.size = [2 * n] + [0] * (2 * n - 1) if n else []
+        self.queued = [False] * (2 * n)
+        self.trail = []
+
+    def refine(self, splitters):
+        """Refine to the stable colouring, starting from the cells at
+        ``splitters``.  Returns False as soon as some colour has unequal
+        numbers of a- and b-vertices: no isomorphism keeps that colouring."""
+        lab, adj, cell, size, queued = self.lab, self.adj, self.cell, self.size, self.queued
+        queue = deque(splitters)
+        for s in splitters:
+            queued[s] = True
+        while queue:
+            s = queue.popleft()
+            queued[s] = False
+            codes = {}
+            for i in range(s, s + size[s]):
+                for u, c in adj[lab[i]]:
+                    codes.setdefault(u, []).append(c)
+            touched = {}
+            for u in codes:
+                touched.setdefault(cell[u], []).append(u)
+            for c, us in touched.items():
+                if not self._split(c, us, codes, queue):
+                    for t in queue:
+                        queued[t] = False
+                    return False
+        return True
+
+    def _split(self, c, us, codes, queue):
+        """Split cell c by the codes its members ``us`` see in the splitter:
+        untouched members keep start c, then one cell per code multiset in
+        sorted order.  Queues all new cells if c was queued, else all but the
+        largest (Hopcroft): the colouring is already stable with respect to c,
+        so the split by its largest part follows from the others."""
+        lab, pos, cell, size, n = self.lab, self.pos, self.cell, self.size, self.n
+        groups = {}
+        for u in us:
+            groups.setdefault(tuple(sorted(codes[u])), []).append(u)
+        if len(groups) == 1 and len(us) == size[c]:
+            return True
+        if any(2 * sum(u < n for u in g) != len(g) for g in groups.values()):
+            return False
+        k = c + size[c]
+        for u in us:
+            k -= 1
+            j, w = pos[u], lab[k]
+            lab[j], pos[w] = w, j
+        size[c] = k - c
+        parts = [c] if k > c else []
+        for key in sorted(groups):
+            g = groups[key]
+            size[k] = len(g)
+            parts.append(k)
+            if k != c:
+                self.trail.append(k)
+            for i, u in enumerate(g, k):
+                lab[i], pos[u], cell[u] = u, i, k
+            k += len(g)
+        if self.queued[c]:
+            parts.remove(c)  # c's queue entry now stands for its first part
+        else:
+            parts.remove(max(parts, key=size.__getitem__))
+        for p in parts:
+            self.queued[p] = True
+            queue.append(p)
+        return True
+
+    def individualise(self, x, y):
+        """Give a-vertex x and b-vertex y of one cell a colour of their own,
+        at the back of that cell, and refine."""
+        lab, pos, cell, size = self.lab, self.pos, self.cell, self.size
+        t = cell[x]
+        s = t + size[t] - 2
+        for v, i in ((x, s), (y, s + 1)):
+            j, w = pos[v], lab[i]
+            lab[j], pos[w] = w, j
+            lab[i], pos[v] = v, i
+            cell[v] = s
+        size[t] -= 2
+        size[s] = 2
+        self.trail.append(s)
+        return self.refine([s])
+
+    def undo(self, mark):
+        """Merge every cell made since ``len(trail)`` was ``mark`` back into
+        the cell it split from (the one before it in ``lab``)."""
+        lab, cell, size, trail = self.lab, self.cell, self.size, self.trail
+        while len(trail) > mark:
+            s = trail.pop()
+            p = cell[lab[s - 1]]
+            for v in lab[s:s + size[s]]:
+                cell[v] = p
+            size[p] += size[s]
+
+    def target(self):
+        """Start of the first smallest cell with more than one a-vertex, or
+        None when every cell is one (a, b) pair."""
+        size, best, s = self.size, None, 0
+        while s < len(size):
+            k = size[s]
+            if k > 2 and (best is None or k < size[best]):
+                best = s
+                if k == 4:
+                    break
+            s += k
+        return best
 
 
 def iso_search(a, b, budget=200_000):
     """Find a weight-preserving isomorphism a -> b, or return None.
 
-    Backtracking over vertex assignments, pruning by (degree, weight
-    multiset) signatures and by exact parallel-edge weight multisets between
-    already-assigned vertex pairs.  Deterministic given input order.
+    Individualise-refine (McKay and Piperno, *Practical Graph Isomorphism
+    II*, 2014) on the vertices of a ⊔ b.  Colour refinement splits colours
+    by the exact multiset of (direction, weight) of edges into each colour
+    until the colouring is stable; a colour with unequal numbers of a- and
+    b-vertices ends the branch.  While some colour has more than one
+    a-vertex, the search takes the smallest such colour and its first
+    a-vertex x, and tries each b-vertex y in it in turn: a *node* is one
+    such choice, giving x and y a colour of their own and refining again.
+    Every isomorphism that keeps the colours maps x into the colour, so no
+    branch that could succeed is skipped.  Each node adds one pair, so a
+    branch ends within |V| nodes and the tree is finite; more than
+    ``budget`` nodes raises ``IsoBudgetExceeded``.  When each colour is one
+    (a, b) pair, that bijection is accepted if it carries a's edge multiset
+    (src, rng, weight) onto b's.  Deterministic given input order; every
+    result is checked by ``check_iso``.
+
+    There is no automorphism pruning: on a symmetric pair that is not
+    isomorphic, such as five directed 6-cycles against four and two 3-cycles,
+    the tree grows factorially until the budget stops it.
     """
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
+    n = len(a.vertices)
+    if n != len(b.vertices) or len(a.edges) != len(b.edges):
         return None
-    sig_a = {v: _vertex_signature(a, v) for v in a.vertices}
-    sig_b = {v: _vertex_signature(b, v) for v in b.vertices}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return None
-    pw_a = _pair_weights(a)
-    pw_b = _pair_weights(b)
+    weight_ids = {}
+    adj = [[] for _ in range(2 * n)]
+    triples = ([], [])
+    for side, q in enumerate((a, b)):
+        index = {v: side * n + i for i, v in enumerate(q.vertices)}
+        for e in q.edges:
+            w = weight_ids.setdefault((e.weight.numerator, e.weight.denominator),
+                                      len(weight_ids) + 1)
+            s, r = index[e.src], index[e.rng]
+            adj[s].append((r, -w))
+            adj[r].append((s, w))
+            triples[side].append((s, r, w))
+    b_edges = Counter(triples[1])
 
-    candidates = {
-        v: [w for w in b.vertices if sig_b[w] == sig_a[v]] for v in a.vertices
-    }
-    order = sorted(a.vertices, key=lambda v: len(candidates[v]))
-    assignment = {}
-    used = set()
-    nodes = [0]
+    col = _Colouring(n, adj)
+    alive = n == 0 or col.refine([0])
+    stack = []  # per branching node: [trail mark, a-vertex x, last y tried]
+    nodes = 0
+    while True:
+        if alive:
+            t = col.target()
+            if t is None:
+                f = {min(p): max(p) for p in zip(col.lab[::2], col.lab[1::2])}
+                if Counter((f[s], f[r], w) for s, r, w in triples[0]) == b_edges:
+                    break
+            else:
+                stack.append([len(col.trail), min(col.lab[t:t + col.size[t]]), n - 1])
+        if not stack:
+            return None
+        frame = stack[-1]
+        mark, x, last = frame
+        col.undo(mark)
+        t = col.cell[x]
+        y = min((v for v in col.lab[t:t + col.size[t]] if v > last), default=None)
+        if y is None:
+            stack.pop()
+            alive = False
+            continue
+        frame[2] = y
+        nodes += 1
+        if nodes > budget:
+            raise IsoBudgetExceeded(nodes, budget)
+        alive = col.individualise(x, y)
 
-    def consistent(v, w):
-        # Parallel-edge weight multisets must match against every vertex
-        # already placed, in both directions.
-        for u, x in assignment.items():
-            if pw_a.get((v, u)) != pw_b.get((w, x)):
-                return False
-            if pw_a.get((u, v)) != pw_b.get((x, w)):
-                return False
-        if pw_a.get((v, v)) != pw_b.get((w, w)):
-            return False
-        return True
-
-    def backtrack(i):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise IsoBudgetExceeded(f"iso_search exceeded budget of {budget} nodes")
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            if not consistent(v, w):
-                continue
-            assignment[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            del assignment[v]
-            used.remove(w)
-        return False
-
-    if not backtrack(0):
-        return None
-
-    # Extend the vertex bijection to edges: within each
-    # (src, rng, weight) class, pair edges in input order.
-    emap = {}
+    # Extend the vertex bijection to edges: within each (src, rng, weight)
+    # class, pair edges in input order.
     pool = {}
-    for e in b.edges:
-        pool.setdefault((e.src, e.rng, e.weight), []).append(e.id)
-    for e in a.edges:
-        key = (assignment[e.src], assignment[e.rng], e.weight)
-        emap[e.id] = pool[key].pop(0)
-
-    iso = QuiverIso(QuiverMorphism(dict(assignment), emap))
-    assert check_iso(a, b, iso)
+    for e, key in zip(reversed(b.edges), reversed(triples[1])):
+        pool.setdefault(key, []).append(e.id)
+    emap = {e.id: pool[f[s], f[r], w].pop() for e, (s, r, w) in zip(a.edges, triples[0])}
+    vmap = {v: b.vertices[f[i] - n] for i, v in enumerate(a.vertices)}
+    iso = QuiverIso(QuiverMorphism(vmap, emap))
+    if not check_iso(a, b, iso):
+        raise AssertionError("iso_search built a map that check_iso rejects")
     return iso

@@ -9,6 +9,7 @@ from quiverskew import (
     BlockStructure,
     Edge,
     FiniteQuiver,
+    QuiverAction,
     make_cyclic,
     orbits,
     path_counts,
@@ -29,6 +30,14 @@ def mk(vertices, edges):
     return FiniteQuiver(
         vertices, [Edge(i, s, r, Fraction(w)) for i, s, r, w in edges]
     )
+
+
+def trivial_action(q, group):
+    """Every element of ``group`` acts on q as the identity."""
+    idv = {v: v for v in q.vertices}
+    ide = {e.id: e.id for e in q.edges}
+    return QuiverAction(group, {g: dict(idv) for g in group.elements},
+                        {g: dict(ide) for g in group.elements})
 
 
 def brute_iso_exists(a, b):

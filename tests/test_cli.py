@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -329,6 +330,17 @@ class TestExportDot:
         doc = {"vertices": [], "edges": []}
         assert main(["export-dot", write(tmp_path / "q.json", doc)]) == 0
         assert capsys.readouterr().out == "digraph quiver {\n}\n"
+
+    def test_quotes_and_backslashes_in_ids_round_trip(self, tmp_path, capsys):
+        v, w, e = 'a"b', "c\\", 'x\\"y'
+        doc = {"vertices": [v, w], "edges": [{"id": e, "src": v, "rng": w, "weight": "2"}]}
+        assert main(["export-dot", write(tmp_path / "q.json", doc)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        # Every line is fully tokenised: nothing is left between the quoted strings.
+        assert [quoted.sub("", line) for line in lines[1:-1]] == ["  ;", "  ;", "   ->  [label=];"]
+        strings = [[re.sub(r"\\(.)", r"\1", s) for s in quoted.findall(line)] for line in lines]
+        assert strings == [[], [v], [w], [v, w, e + ":2"], []]
 
     def test_golden_skew_fixture(self, tmp_path, loop_file, z2_cocycle_file):
         skew_out = tmp_path / "skew.json"

@@ -12,14 +12,13 @@ from quiverskew import (
     orbits,
     skew_product,
     translation_action,
-    trivial_action,
     validate_action,
     validate_group,
 )
 from quiverskew.group import GroupError
 from quiverskew.randgen import random_cocycle, random_quiver
 
-from conftest import LOOP5, mk
+from conftest import LOOP5, mk, trivial_action
 
 
 class TestMakeCyclic:

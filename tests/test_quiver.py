@@ -1,7 +1,13 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import quiverskew
 from quiverskew import (
     Edge,
     FiniteQuiver,
@@ -11,11 +17,35 @@ from quiverskew import (
     check_iso,
     check_morphism,
     iso_search,
+    make_cyclic,
+    make_symmetric,
+    skew_product,
     validate_quiver,
 )
 from quiverskew.quiver import QuiverError
+from quiverskew.randgen import random_cocycle
 
-from conftest import mk, brute_iso_exists
+from conftest import brute_iso_exists, deadline, mk
+
+
+def random_base(n, m, seed):
+    """B(n, m, seed): n vertices, m weight-1 edges with random endpoints,
+    and the generator that drew them, for drawing the cocycle next."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(n)]
+    return FiniteQuiver(vs, [Edge(f"e{i}", rng.choice(vs), rng.choice(vs), 1)
+                             for i in range(m)]), rng
+
+
+def relabelled(q, rng):
+    """q with fresh vertex and edge ids, both listed in a shuffled order."""
+    vs, es = list(q.vertices), list(q.edges)
+    rng.shuffle(vs)
+    rng.shuffle(es)
+    name = {v: f"x{i}" for i, v in enumerate(vs)}
+    return FiniteQuiver([name[v] for v in vs], [
+        Edge(f"f{i}", name[e.src], name[e.rng], e.weight) for i, e in enumerate(es)
+    ])
 
 
 class TestValidate:
@@ -127,12 +157,68 @@ class TestIsoSearch:
         n = 8
         verts = [f"v{i}" for i in range(n)]
         a = mk(verts, [])
-        with pytest.raises(IsoBudgetExceeded):
+        with pytest.raises(IsoBudgetExceeded, match="used 4 nodes") as err:
             iso_search(a, a, budget=3)
+        assert err.value.nodes > 3
+
+    def test_result_checked_under_python_O(self):
+        # check_iso is replaced by one that rejects everything, in a child
+        # process running with asserts stripped.
+        code = (
+            "from quiverskew import quiver\n"
+            "quiver.check_iso = lambda a, b, iso: False\n"
+            "q = quiver.FiniteQuiver(['v'], [quiver.Edge('e', 'v', 'v', 1)])\n"
+            "quiver.iso_search(q, q)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(quiverskew.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "AssertionError: iso_search built a map that check_iso rejects" in proc.stderr
+
+    def test_relabelled_s5_skew_product(self):
+        # S5 skew product of B(20, 40, 5): 2400 vertices, 4800 edges, whose
+        # fibres all look alike to degree and weight.
+        q, rng = random_base(20, 40, 5)
+        s = skew_product(q, random_cocycle(rng, q, make_symmetric(5)))
+        h = relabelled(s, random.Random(0))
+        with deadline(2):
+            iso = iso_search(h, s)
+        assert iso is not None
+
+    def test_relabelled_z6_skew_products_of_small_bases(self):
+        # 360 draws of a Z/6 skew product of B(6, 12, seed): 36 vertices.
+        for seed in range(360):
+            q, rng = random_base(6, 12, seed)
+            s = skew_product(q, random_cocycle(rng, q, make_cyclic(6)))
+            assert iso_search(relabelled(s, rng), s) is not None, seed
+
+    def test_relabelled_long_path(self):
+        vs = [f"p{i}" for i in range(3000)]
+        path = FiniteQuiver(vs, [Edge(f"e{i}", vs[i], vs[i + 1], 1) for i in range(2999)])
+        h = relabelled(path, random.Random(1))
+        with deadline(1):
+            iso = iso_search(h, path)
+        assert iso is not None
+
+    @pytest.mark.parametrize("a, b", [
+        # Directed C6 against two directed C3s: every vertex has one edge in
+        # and one out.
+        (mk(range(6), [(f"e{i}", i, (i + 1) % 6, 1) for i in range(6)]),
+         mk(range(6), [(f"e{i}", i, 3 * (i // 3) + (i + 1) % 3, 1) for i in range(6)])),
+        # Two parallel edges i -> i+1 and two i -> i+2 on Z/5: weights {1, 2}
+        # on each pair, against {1, 1} on the first and {2, 2} on the second.
+        (mk(range(5), [(f"e{i}{j}{k}", i, (i + j) % 5, k) for i in range(5)
+                       for j in (1, 2) for k in (1, 2)]),
+         mk(range(5), [(f"e{i}{j}{k}", i, (i + j) % 5, j) for i in range(5)
+                       for j in (1, 2) for k in (1, 2)])),
+    ], ids=["c6-vs-two-c3", "parallel-edge-weights"])
+    def test_pairs_colour_refinement_cannot_tell_apart(self, a, b):
+        assert not brute_iso_exists(a, b)
+        assert iso_search(a, b) is None
+        assert iso_search(a, a) is not None and iso_search(b, b) is not None
 
     def test_agrees_with_brute_force_on_small_quivers(self):
-        import itertools, random
-
         rng = random.Random(7)
         for _ in range(60):
             nv = rng.randint(1, 3)
@@ -153,3 +239,25 @@ class TestIsoSearch:
             assert (found is not None) == brute_iso_exists(a, b)
             if found is not None:
                 assert check_iso(a, b, found)
+
+    def test_agrees_with_brute_force_with_parallel_edges(self):
+        # 4-5 vertices, 6-10 edges of weight 1 or 2; b is a relabelled a, in
+        # half the draws with one edge's weight changed or moved.
+        rng = random.Random(11)
+        agreed = {True: 0, False: 0}
+        for _ in range(200):
+            vs = list(range(rng.randint(4, 5)))
+            edges = [(f"e{i}", rng.choice(vs), rng.choice(vs), rng.randint(1, 2))
+                     for i in range(rng.randint(6, 10))]
+            a = mk(vs, edges)
+            if rng.random() < 0.5:
+                i = rng.randrange(len(edges))
+                eid, src, dst, w = edges[i]
+                edges[i] = (eid, src, rng.choice(vs), 3 - w) if rng.random() < 0.5 else \
+                    (eid, src, rng.choice(vs), w)
+            b = relabelled(mk(vs, edges), rng)
+            found = iso_search(a, b)
+            expected = brute_iso_exists(a, b)
+            assert (found is not None) == expected
+            agreed[expected] += 1
+        assert min(agreed.values()) > 20

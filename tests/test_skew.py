@@ -26,13 +26,12 @@ from quiverskew import (
     skew_product,
     skew_vertex_id,
     translation_action,
-    trivial_action,
     validate_action,
 )
 from quiverskew.randgen import random_cocycle, random_weight
 from quiverskew.skew import SkewError
 
-from conftest import mk
+from conftest import mk, trivial_action
 
 
 def loop_quiver():
