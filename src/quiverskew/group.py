@@ -6,14 +6,21 @@ group and action laws are checked against a generating set S of the group
 (|S| <= log2 |G|), not against all pairs or triples of elements, so
 validation is O(|G|.|S|.(|V|+|E|)) for an action and O(|G|^2.|S|) for a
 Cayley table.
+
+An action's tables are read-only copies made when it is built, so what is
+derived from an action and a quiver cannot go stale: ``validate_action``,
+``is_free`` and ``orbits`` each compute once per (action, quiver object)
+pair and answer later calls from a memo on the action.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 MAX_ORDER = 120
 
@@ -149,19 +156,44 @@ def make_symmetric(n):
     return FiniteGroup([name[p] for p in perms], table, identity)
 
 
+def _read_only(table):
+    """A read-only copy of a table {element -> {x -> x.g}}, inner maps too."""
+    return MappingProxyType({g: MappingProxyType(dict(p)) for g, p in table.items()})
+
+
 @dataclass(frozen=True)
 class QuiverAction:
-    """Right action of a finite group on a quiver, as permutation tables."""
+    """Right action of a finite group on a quiver, as permutation tables.
+
+    The tables are read-only copies of the mappings passed in: assigning to
+    ``a.vperm[g][v]`` raises ``TypeError``, and later changes to the caller's
+    dicts do not reach the action.  The validation report, freeness and
+    orbits on a quiver are memoised per quiver object (by identity; the memo
+    holds a reference to the quiver), so each is computed once.
+    """
 
     group: FiniteGroup
-    vperm: dict  # element -> {vertex -> vertex}
-    eperm: dict  # element -> {edge id -> edge id}
+    vperm: Mapping  # element -> {vertex -> vertex}, read-only
+    eperm: Mapping  # element -> {edge id -> edge id}, read-only
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vperm", _read_only(self.vperm))
+        object.__setattr__(self, "eperm", _read_only(self.eperm))
 
     def act_v(self, v, g):
         return self.vperm[g][v]
 
     def act_e(self, eid, g):
         return self.eperm[g][eid]
+
+    def _derived(self, q, compute):
+        """compute(q, self), computed on the first call for this quiver
+        object and taken from the memo after that."""
+        facts = self._memo.setdefault(id(q), (q, {}))[1]
+        if compute not in facts:
+            facts[compute] = compute(q, self)
+        return facts[compute]
 
 
 def _composes(p, r, pr):
@@ -176,12 +208,19 @@ def _composes(p, r, pr):
 def validate_action(q, a):
     """Check homomorphism, src/rng commuting, and exact weight equivariance.
 
-    Each element must act by a permutation and the identity as the
-    identity.  The remaining laws are checked for g in G and s in the
-    generating set S only: v.(g*s) == (v.g).s for all g and s gives the law
-    for all pairs by induction on the length of h as a word in S, and the
-    commuting and weight laws then pass from S to products of its members.
+    Returns a fresh list of violation strings, empty for a valid action; the
+    check runs once per (action, quiver) pair.  Each element must act by a
+    permutation and the identity as the identity.  The remaining laws are
+    checked for g in G and s in the generating set S only: v.(g*s) ==
+    (v.g).s for all g and s gives the law for all pairs by induction on the
+    length of h as a word in S, and the commuting and weight laws then pass
+    from S to products of its members.
     """
+    return list(a._derived(q, _action_report))
+
+
+def _action_report(q, a):
+    """validate_action's report, computed afresh."""
     report = []
     G = a.group
     vset = set(q.vertices)
@@ -222,6 +261,10 @@ def validate_action(q, a):
 
 def is_free(q, a):
     """True iff no non-identity element fixes a vertex."""
+    return a._derived(q, _is_free)
+
+
+def _is_free(q, a):
     G = a.group
     for g in G.elements:
         if g == G.identity:
@@ -247,8 +290,14 @@ def orbits(q, a):
 
     Each orbit is a tuple sorted by input order with the canonical
     representative (least in input order) first; orbits are listed by their
-    representative's input position.
+    representative's input position.  The lists are fresh on every call.
     """
+    v_orbits, e_orbits = a._derived(q, _orbits)
+    return list(v_orbits), list(e_orbits)
+
+
+def _orbits(q, a):
+    """orbits, computed afresh."""
     G = a.group
     vpos = {v: i for i, v in enumerate(q.vertices)}
     epos = {e.id: i for i, e in enumerate(q.edges)}

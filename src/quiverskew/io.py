@@ -62,16 +62,21 @@ def _strings(items):
 
 
 def parse_quiver_document(obj):
+    """A quiver from its document; each distinct weight string is parsed once."""
     vertices = _require(obj, "vertices", list, "quiver document")
     raw_edges = _require(obj, "edges", list, "quiver document")
     if not all(isinstance(v, str) for v in vertices):
         raise ParseError("quiver document: vertices must be strings")
     edges = []
+    weights = {}
     for rec in raw_edges:
         eid = _require(rec, "id", str, "edge record")
         src = _require(rec, "src", str, "edge record")
         rng = _require(rec, "rng", str, "edge record")
-        weight = parse_fraction(_require(rec, "weight", str, "edge record"))
+        text = _require(rec, "weight", str, "edge record")
+        weight = weights.get(text)
+        if weight is None:
+            weight = weights[text] = parse_fraction(text)
         edges.append(Edge(eid, src, rng, weight))
     return FiniteQuiver(vertices, edges)
 
@@ -146,8 +151,8 @@ def parse_action_document(obj, q):
                 )
     return QuiverAction(
         group,
-        {g: dict(vperm[g]) for g in group.elements},
-        {g: dict(eperm[g]) for g in group.elements},
+        {g: vperm[g] for g in group.elements},
+        {g: eperm[g] for g in group.elements},
     )
 
 

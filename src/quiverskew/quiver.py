@@ -312,6 +312,28 @@ class _Colouring:
         return best
 
 
+def _same_component_shapes(adj, n):
+    """True iff a (vertices 0..n-1 of adj) and b (n..2n-1) have the same
+    sorted (vertex count, edge count) of their weakly connected components."""
+    seen = [False] * (2 * n)
+    shapes = ([], [])
+    for root in range(2 * n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack, nv, ends = [root], 0, 0
+        while stack:
+            v = stack.pop()
+            nv += 1
+            ends += len(adj[v])
+            for u, _ in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        shapes[root >= n].append((nv, ends // 2))
+    return sorted(shapes[0]) == sorted(shapes[1])
+
+
 def iso_search(a, b, budget=200_000):
     """Find a weight-preserving isomorphism a -> b, or return None.
 
@@ -331,9 +353,13 @@ def iso_search(a, b, budget=200_000):
     (src, rng, weight) onto b's.  Deterministic given input order; every
     result is checked by ``check_iso``.
 
-    There is no automorphism pruning: on a symmetric pair that is not
-    isomorphic, such as five directed 6-cycles against four and two 3-cycles,
-    the tree grows factorially until the budget stops it.
+    Before it first backtracks, the search returns None unless a and b have
+    the same multiset of weakly connected component shapes (vertex and edge
+    counts), which every isomorphism keeps; a search that never backtracks
+    skips that O(|V|+|E|) pass.  Beyond that there is no automorphism
+    pruning: on a symmetric pair that is not isomorphic but has equal
+    component shapes, the tree can grow factorially until the budget stops
+    it.
     """
     n = len(a.vertices)
     if n != len(b.vertices) or len(a.edges) != len(b.edges):
@@ -356,6 +382,7 @@ def iso_search(a, b, budget=200_000):
     alive = n == 0 or col.refine([0])
     stack = []  # per branching node: [trail mark, a-vertex x, last y tried]
     nodes = 0
+    shapes_compared = False
     while True:
         if alive:
             t = col.target()
@@ -369,6 +396,10 @@ def iso_search(a, b, budget=200_000):
             return None
         frame = stack[-1]
         mark, x, last = frame
+        if last >= n and not shapes_compared:  # about to backtrack
+            if not _same_component_shapes(adj, n):
+                return None
+            shapes_compared = True
         col.undo(mark)
         t = col.cell[x]
         y = min((v for v in col.lab[t:t + col.size[t]] if v > last), default=None)

@@ -207,6 +207,42 @@ class TestOrbits:
         assert len(e_orbits) == 1 and len(e_orbits[0]) == 4
 
 
+class TestReadOnlyAndMemoised:
+    def test_each_quiver_gets_its_own_report(self):
+        q, a = swap_action_on_loops(1, 1)
+        heavier = q.with_weights({"a": 1, "b": 2})
+        assert validate_action(q, a) == []
+        assert any("weight equivariance" in r for r in validate_action(heavier, a))
+        assert validate_action(q, a) == []
+
+    def test_tables_are_read_only_copies(self):
+        q = mk(["v", "w"], [("a", "v", "w", 1), ("b", "w", "v", 1)])
+        vperm = {"0": {"v": "v", "w": "w"}, "1": {"v": "w", "w": "v"}}
+        eperm = {"0": {"a": "a", "b": "b"}, "1": {"a": "b", "b": "a"}}
+        a = QuiverAction(make_cyclic(2), vperm, eperm)
+        with pytest.raises(TypeError):
+            a.vperm["1"]["v"] = "v"
+        with pytest.raises(TypeError):
+            a.eperm["1"] = {"a": "a", "b": "b"}
+        vperm["1"]["v"] = "v"
+        eperm["1"] = {"a": "a", "b": "b"}
+        assert a.vperm["1"] == {"v": "w", "w": "v"}
+        assert a.eperm["1"] == {"a": "b", "b": "a"}
+        assert validate_action(q, a) == [] and is_free(q, a)
+
+    def test_mutated_results_do_not_reach_the_memo(self):
+        q, a = swap_action_on_loops(1, 2)
+        expected = [f"weight equivariance fails for edge {e!r} under '1'" for e in "ab"]
+        report = validate_action(q, a)
+        assert report == expected
+        report.clear()
+        assert validate_action(q, a) == expected
+        v_orbits, e_orbits = orbits(q, a)
+        v_orbits.append(("x",))
+        e_orbits.clear()
+        assert orbits(q, a) == ([("v", "w")], [("a", "b")])
+
+
 def oracle_valid(q, a):
     """Every action law over all elements and all pairs, checked directly."""
     G = a.group

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -217,6 +218,19 @@ class TestIsoSearch:
         assert not brute_iso_exists(a, b)
         assert iso_search(a, b) is None
         assert iso_search(a, a) is not None and iso_search(b, b) is not None
+
+    def test_cycles_with_different_component_shapes(self):
+        # Five directed 6-cycles against four and two 3-cycles: every vertex
+        # has one edge in and one out, so only the components differ.
+        def cycles(lengths):
+            return mk(range(sum(lengths)), [
+                (f"e{start + i}", start + i, start + (i + 1) % n, 1)
+                for start, n in zip(itertools.accumulate([0] + lengths), lengths)
+                for i in range(n)
+            ])
+
+        with deadline(1):
+            assert iso_search(cycles([6] * 5), cycles([6] * 4 + [3, 3])) is None
 
     def test_agrees_with_brute_force_on_small_quivers(self):
         rng = random.Random(7)

@@ -259,6 +259,28 @@ class TestGrossTucker:
         with pytest.raises(SkewError):
             gross_tucker_reconstruct(q, a, Section({"v": "nope"}))
 
+    def test_law_check_and_orbits_run_once_per_action(self, monkeypatch):
+        from quiverskew import group as group_mod
+
+        calls = {"_action_report": 0, "_orbits": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(group_mod, name, counted(name, getattr(group_mod, name)))
+        q = two_loop_quiver()
+        kappa = Cocycle(make_symmetric(3), {"e1": "213", "e2": "231"})
+        skew = skew_product(q, kappa)
+        act = translation_action(q, kappa)
+        assert validate_action(skew, act) == []
+        quotient_quiver(skew, act)
+        gross_tucker_reconstruct(skew, act, default_section(skew, act))
+        assert calls == {"_action_report": 1, "_orbits": 1}
+
     def test_s5_translation_action_validates_and_reconstructs_quickly(self):
         # 720 vertices, 1440 edges: checking the action law on all |G|^2
         # pairs takes seconds; on a generating set, well under one.
