@@ -152,6 +152,8 @@ def _random_cases(n, seed):
 
 
 def cmd_verify(args):
+    if args.budget < 1:
+        raise qio.ParseError("--budget must be at least 1")
     if args.random:
         cases = _random_cases(args.random, args.seed)
     elif not args.quiver or not args.cocycle:

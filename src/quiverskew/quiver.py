@@ -36,7 +36,9 @@ class Edge:
     weight: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        # A Fraction is kept as given, so interned weights stay shared.
+        if not isinstance(self.weight, Fraction):
+            object.__setattr__(self, "weight", Fraction(self.weight))
 
 
 class FiniteQuiver:

@@ -91,23 +91,32 @@ def translation_action(q, kappa):
     return QuiverAction(G, vperm, eperm)
 
 
+def _free_quotient(q, a, what):
+    """The memoised quotient and projection of a valid free action; raises
+    SkewError if the action is invalid, or not free (naming ``what``)."""
+    bad = validate_action(q, a)
+    if bad:
+        raise SkewError(f"invalid action: {bad[0]}")
+    if not is_free(q, a):
+        raise SkewError(f"{what} requires a free action")
+    return a._derived(q, _quotient)
+
+
 def quotient_quiver(q, a):
     """Orbit quiver and the projection morphism onto it.
 
     Requires a valid free action: freeness makes the per-vertex edge fiber
     map to the quotient fiber bijective, so the descended weight of an edge
-    orbit is the weight of any representative.
+    orbit is the weight of any representative.  The quotient is built once
+    per (action, quiver object) pair; each call returns fresh projection
+    maps, so a caller that mutates them cannot reach later calls.
     """
-    bad = validate_action(q, a)
-    if bad:
-        raise SkewError(f"invalid action: {bad[0]}")
-    if not is_free(q, a):
-        raise SkewError("quotient requires a free action")
-    return _quotient(q, a)
+    quot, proj = _free_quotient(q, a, "quotient")
+    return quot, QuiverMorphism(dict(proj.vmap), dict(proj.emap))
 
 
 def _quotient(q, a):
-    """quotient_quiver for an action already validated and known free."""
+    """quotient_quiver's quotient and projection, computed afresh."""
     v_orbits, e_orbits = orbits(q, a)
     v_rep = {}
     for orb in v_orbits:
@@ -184,13 +193,9 @@ def gross_tucker_reconstruct(q, a, section=None):
     sigma(e) = (orbit(e), g_{src(e)}).  The recovered cocycle value on an
     edge orbit is g_{rng(e0)} for the unique representative e0 whose source
     lies on the section.  The returned witness is verified exhaustively.
+    Its quotient is the one quotient_quiver builds once per action and quiver.
     """
-    bad = validate_action(q, a)
-    if bad:
-        raise SkewError(f"invalid action: {bad[0]}")
-    if not is_free(q, a):
-        raise SkewError("reconstruction requires a free action")
-    quot, proj = _quotient(q, a)
+    quot, proj = _free_quotient(q, a, "reconstruction")
     if section is None:
         section = default_section(q, a)
     rep = section.representative
@@ -199,14 +204,7 @@ def gross_tucker_reconstruct(q, a, section=None):
     for o, v in rep.items():
         if proj.vmap.get(v) != o:
             raise SkewError(f"section point {v!r} is not in orbit {o!r}")
-    return _reconstruct(q, a, quot, proj, section)
-
-
-def _reconstruct(q, a, quot, proj, section):
-    """gross_tucker_reconstruct for a valid free action, its quotient and
-    projection, and a section of its vertex orbits."""
     G = a.group
-    rep = section.representative
 
     # g_v: the unique translator from the section point to v (freeness).
     g_of = {a.act_v(base, g): g for base in rep.values() for g in G.elements}

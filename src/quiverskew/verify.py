@@ -1,12 +1,13 @@
 """Self-checking theorem suite run by the CLI and the acceptance tests.
 
 Each check is an executed exact assertion that ``python -O`` keeps; the
-suite reports PASS/FAIL per check in a fixed order.  The translation action
-is validated once and its quotient built once; the checks that need the
-quotient share it, and each fails with the first violation when the action
-is invalid.  An isomorphism is its forward maps, verified by ``check_iso``.
-A fault can be injected (one mutated weight in the computed skew product)
-to exercise the failure path.
+suite reports PASS/FAIL per check in a fixed order.  The checks call the
+public functions, which share the action's memoised validation and
+quotient, so the translation action is validated and its quotient built
+once; each check that needs the quotient fails with the first violation
+when the action is invalid.  An isomorphism is its forward maps, verified
+by ``check_iso``.  A fault can be injected (one mutated weight in the
+computed skew product) to exercise the failure path.
 
 On an acyclic quiver three block checks compare the base with the skew
 product E x_kappa G, each side counted from its own paths.
@@ -30,11 +31,10 @@ from .quiver import FiniteQuiver, Edge, check_iso
 from .group import edge_free, is_free, orbits, validate_action
 from .skew import (
     Section,
-    SkewError,
     _first_factor_iso,
-    _quotient,
-    _reconstruct,
+    gross_tucker_reconstruct,
     lift_system,
+    quotient_quiver,
     skew_product,
     skew_vertex_id,
     translation_action,
@@ -63,12 +63,8 @@ def all_sections(q, a, budget):
     """Sections of the vertex-orbit map, in deterministic order, capped."""
     v_orbits, _ = orbits(q, a)
     reps = [orb[0] for orb in v_orbits]
-    out = []
-    for choice in itertools.product(*v_orbits):
-        out.append(Section(dict(zip(reps, choice))))
-        if len(out) >= budget:
-            break
-    return out
+    choices = itertools.islice(itertools.product(*v_orbits), budget)
+    return [Section(dict(zip(reps, choice))) for choice in choices]
 
 
 def _require(ok, *detail):
@@ -92,42 +88,32 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
     if inject_fault:
         skew = _mutate_one_weight(skew)
     act = translation_action(q, kappa)
-    # The action is validated once; every check below that needs its
-    # quotient shares one.  A valid translation action is free, since
-    # (x, h).g == (x, h) forces g to be the identity.
-    bad = validate_action(skew, act)
-    if not bad:
-        quot, proj = _quotient(skew, act)
-
-    def quotient():
-        if bad:
-            raise SkewError(f"invalid action: {bad[0]}")
-        return quot, proj
 
     def chk_action():
-        if bad:
-            raise AssertionError(bad[0])
+        bad = validate_action(skew, act)
+        _require(not bad, *bad[:1])
         _require(is_free(skew, act))
         _require(edge_free(skew, act), "non-identity element fixes an edge")
 
     check("translation-action-free", chk_action)
 
     def chk_orbit():
-        quot, _ = quotient()
+        quot, _ = quotient_quiver(skew, act)
         iso = _first_factor_iso(q, kappa.group, quot)
         _require(check_iso(quot, q, iso), "orbit quiver differs from base")
 
     check("skew-orbit-recovery", chk_orbit)
 
     def chk_gross_tucker():
-        quot, proj = quotient()
-        for section in all_sections(skew, act, section_budget):
-            _reconstruct(skew, act, quot, proj, section)
+        sections = all_sections(skew, act, section_budget)
+        _require(sections, "no section within the budget")
+        for section in sections:
+            gross_tucker_reconstruct(skew, act, section)
 
     check("gross-tucker-roundtrip", chk_gross_tucker)
 
     def chk_descent_lift():
-        quot, proj = quotient()
+        quot, proj = quotient_quiver(skew, act)
         lifted = lift_system(quot, skew, act, proj.emap)
         _require(lifted == {e.id: e.weight for e in skew.edges})
 

@@ -311,6 +311,11 @@ class TestVerify:
     def test_missing_args(self):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
+        assert main(["verify", "--random", "1", "--budget", budget]) == 2
+        assert capsys.readouterr() == ("", "parse error: --budget must be at least 1\n")
+
 
 class TestExportDot:
     def test_two_cycle(self, tmp_path, capsys):
@@ -466,9 +471,9 @@ class TestGolden:
 
 
 def test_run_suite_validates_and_takes_the_quotient_once(monkeypatch):
-    from quiverskew import skew as skew_mod, verify as verify_mod
+    from quiverskew import group as group_mod, skew as skew_mod
 
-    calls = {"validate_action": 0, "_quotient": 0}
+    calls = {"_action_report": 0, "_quotient": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -476,13 +481,21 @@ def test_run_suite_validates_and_takes_the_quotient_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for mod in (skew_mod, verify_mod):
-        for name in calls:
-            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    for mod, name in ((group_mod, "_action_report"), (skew_mod, "_quotient")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     q = qio.parse_quiver_document(S3_CYCLIC[0])
     kappa = qio.parse_cocycle_document(S3_CYCLIC[1], q)
     assert all(ok for _, ok, _ in verify_mod.run_suite(q, kappa))
-    assert calls == {"validate_action": 1, "_quotient": 1}
+    assert calls == {"_action_report": 1, "_quotient": 1}
+
+
+def test_gross_tucker_roundtrip_fails_when_no_section_is_tried():
+    q = qio.parse_quiver_document(S3_CYCLIC[0])
+    kappa = qio.parse_cocycle_document(S3_CYCLIC[1], q)
+    results = {name: (ok, detail) for name, ok, detail in
+               verify_mod.run_suite(q, kappa, section_budget=0)}
+    assert results["gross-tucker-roundtrip"] == (
+        False, "AssertionError: no section within the budget")
 
 
 def verify_s3_acyclic(tmp_path, capsys):

@@ -136,6 +136,7 @@ def test_gross_tucker_roundtrip_all_small_sections(qk):
     q, kappa = qk
     skew = skew_product(q, kappa)
     act = translation_action(q, kappa)
+    assert all_sections(skew, act, budget=0) == []
     for section in all_sections(skew, act, budget=4):
         witness = gross_tucker_reconstruct(skew, act, section)
         target = skew_product(witness.quotient, witness.cocycle)

@@ -70,6 +70,12 @@ class TestValidate:
         assert any("duplicate edge" in r for r in report)
 
 
+def test_edge_keeps_the_fraction_it_is_given():
+    w = Fraction(3, 7)
+    assert Edge("e", "v", "v", w).weight is w
+    assert Edge("e", "v", "v", 2).weight == Fraction(2)
+
+
 class TestCheckMorphism:
     def test_identity(self):
         q = mk(["v", "w"], [("e", "v", "w", 1)])

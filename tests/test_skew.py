@@ -260,9 +260,9 @@ class TestGrossTucker:
             gross_tucker_reconstruct(q, a, Section({"v": "nope"}))
 
     def test_law_check_and_orbits_run_once_per_action(self, monkeypatch):
-        from quiverskew import group as group_mod
+        from quiverskew import group as group_mod, skew as skew_mod
 
-        calls = {"_action_report": 0, "_orbits": 0}
+        calls = {"_action_report": 0, "_orbits": 0, "_quotient": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -270,8 +270,9 @@ class TestGrossTucker:
                 return fn(*args)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(group_mod, name, counted(name, getattr(group_mod, name)))
+        for mod, name in ((group_mod, "_action_report"), (group_mod, "_orbits"),
+                          (skew_mod, "_quotient")):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         q = two_loop_quiver()
         kappa = Cocycle(make_symmetric(3), {"e1": "213", "e2": "231"})
         skew = skew_product(q, kappa)
@@ -279,7 +280,23 @@ class TestGrossTucker:
         assert validate_action(skew, act) == []
         quotient_quiver(skew, act)
         gross_tucker_reconstruct(skew, act, default_section(skew, act))
-        assert calls == {"_action_report": 1, "_orbits": 1}
+        assert calls == {"_action_report": 1, "_orbits": 1, "_quotient": 1}
+
+    def test_mutating_a_returned_projection_reaches_nothing(self):
+        q = two_loop_quiver()
+        kappa = Cocycle(make_symmetric(3), {"e1": "213", "e2": "231"})
+        skew = skew_product(q, kappa)
+        act = translation_action(q, kappa)
+        _, proj = quotient_quiver(skew, act)
+        expected = dict(proj.vmap), dict(proj.emap)
+        for v in proj.vmap:
+            proj.vmap[v] = "nope"
+        proj.emap.clear()
+        _, again = quotient_quiver(skew, act)
+        assert (again.vmap, again.emap) == expected
+        witness = gross_tucker_reconstruct(skew, act)
+        assert {v: o for v, (o, _) in witness.phi.items()} == expected[0]
+        assert {e: o for e, (o, _) in witness.sigma.items()} == expected[1]
 
     def test_s5_translation_action_validates_and_reconstructs_quickly(self):
         # 720 vertices, 1440 edges: checking the action law on all |G|^2
