@@ -154,7 +154,11 @@ def _random_cases(n, seed):
 def cmd_verify(args):
     if args.budget < 1:
         raise qio.ParseError("--budget must be at least 1")
-    if args.random:
+    if args.random is not None:
+        if args.random < 1:
+            raise qio.ParseError("--random must be at least 1")
+        if args.quiver or args.cocycle:
+            raise qio.ParseError("--random takes no quiver or cocycle")
         cases = _random_cases(args.random, args.seed)
     elif not args.quiver or not args.cocycle:
         raise qio.ParseError("verify requires a quiver and a cocycle (or --random N)")

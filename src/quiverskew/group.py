@@ -220,29 +220,24 @@ def _action_report(q, a):
     """validate_action's report, computed afresh."""
     report = []
     G = a.group
-    vset = set(q.vertices)
-    eset = {e.id for e in q.edges}
+    tables = (("vertex", "vertices", a.vperm, set(q.vertices)),
+              ("edge", "edges", a.eperm, {e.id for e in q.edges}))
     for g in G.elements:
-        vp = a.vperm.get(g)
-        ep = a.eperm.get(g)
-        if vp is None or vp.keys() != vset or set(vp.values()) != vset:
-            report.append(f"vertex permutation for {g!r} is not a permutation of the vertices")
-            return report
-        if ep is None or ep.keys() != eset or set(ep.values()) != eset:
-            report.append(f"edge permutation for {g!r} is not a permutation of the edges")
-            return report
+        for kind, plural, perms, items in tables:
+            p = perms.get(g)
+            if p is None or p.keys() != items or set(p.values()) != items:
+                report.append(f"{kind} permutation for {g!r} is not a permutation of the {plural}")
+                return report
     idg = G.identity
-    if any(a.vperm[idg][v] != v for v in q.vertices) or any(
-        a.eperm[idg][e.id] != e.id for e in q.edges
-    ):
+    if any(perms[idg][x] != x for _, _, perms, items in tables for x in items):
         report.append("identity element does not act as the identity")
     for g in G.elements:
         for s in G.generators:
             gs = G.mul(g, s)
-            if not _composes(a.vperm[g], a.vperm[s], a.vperm[gs]):
-                report.append(f"vertex homomorphism law fails at ({g!r},{s!r})")
-            elif not _composes(a.eperm[g], a.eperm[s], a.eperm[gs]):
-                report.append(f"edge homomorphism law fails at ({g!r},{s!r})")
+            for kind, _, perms, _ in tables:
+                if not _composes(perms[g], perms[s], perms[gs]):
+                    report.append(f"{kind} homomorphism law fails at ({g!r},{s!r})")
+                    break
     for s in G.generators:
         vs, es = a.vperm[s], a.eperm[s]
         for e in q.edges:
@@ -262,24 +257,17 @@ def is_free(q, a):
 
 
 def _is_free(q, a):
-    G = a.group
-    for g in G.elements:
-        if g == G.identity:
-            continue
-        if any(a.vperm[g][v] == v for v in q.vertices):
-            return False
-    return True
+    return not _fixes_some(a.group, a.vperm, q.vertices)
 
 
 def edge_free(q, a):
     """Freeness on edges; implied by vertex freeness, asserted as a property."""
-    G = a.group
-    for g in G.elements:
-        if g == G.identity:
-            continue
-        if any(a.eperm[g][e.id] == e.id for e in q.edges):
-            return False
-    return True
+    return not _fixes_some(a.group, a.eperm, [e.id for e in q.edges])
+
+
+def _fixes_some(G, perms, items):
+    """True iff some non-identity element of G fixes one of ``items``."""
+    return any(perms[g][x] == x for g in G.elements if g != G.identity for x in items)
 
 
 def orbits(q, a):
@@ -296,20 +284,17 @@ def orbits(q, a):
 def _orbits(q, a):
     """orbits, computed afresh."""
     G = a.group
-    vpos = {v: i for i, v in enumerate(q.vertices)}
-    epos = {e.id: i for i, e in enumerate(q.edges)}
 
-    def partition(items, act, pos):
+    def partition(perms, items):
+        pos = {x: i for i, x in enumerate(items)}
         seen = set()
         parts = []
         for x in items:
             if x in seen:
                 continue
-            orb = {act(x, g) for g in G.elements}
+            orb = {perms[g][x] for g in G.elements}
             seen |= orb
             parts.append(tuple(sorted(orb, key=pos.__getitem__)))
         return parts
 
-    v_orbits = partition(q.vertices, a.act_v, vpos)
-    e_orbits = partition([e.id for e in q.edges], a.act_e, epos)
-    return v_orbits, e_orbits
+    return partition(a.vperm, q.vertices), partition(a.eperm, [e.id for e in q.edges])

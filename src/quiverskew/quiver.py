@@ -143,16 +143,15 @@ def check_morphism(src_q, dst_q, m):
 
     Raises QuiverError if m references ids unknown to either quiver.
     """
-    for v in src_q.vertices:
-        if v not in m.vmap:
-            raise QuiverError(f"morphism undefined on vertex {v!r}")
-        if not dst_q.has_vertex(m.vmap[v]):
-            raise QuiverError(f"morphism maps vertex {v!r} outside target")
-    for e in src_q.edges:
-        if e.id not in m.emap:
-            raise QuiverError(f"morphism undefined on edge {e.id!r}")
-        if not dst_q.has_edge(m.emap[e.id]):
-            raise QuiverError(f"morphism maps edge {e.id!r} outside target")
+    for kind, items, mapping, known in (
+        ("vertex", src_q.vertices, m.vmap, dst_q.has_vertex),
+        ("edge", [e.id for e in src_q.edges], m.emap, dst_q.has_edge),
+    ):
+        for x in items:
+            if x not in mapping:
+                raise QuiverError(f"morphism undefined on {kind} {x!r}")
+            if not known(mapping[x]):
+                raise QuiverError(f"morphism maps {kind} {x!r} outside target")
     for e in src_q.edges:
         img = dst_q.edge(m.emap[e.id])
         if img.src != m.vmap[e.src]:

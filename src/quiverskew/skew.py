@@ -74,20 +74,19 @@ def skew_product(q, kappa):
     return FiniteQuiver(vertices, edges)
 
 
+def _pair_ids(q):
+    """(pair-id maker, ids of q) for the vertices, then for the edges."""
+    return (skew_vertex_id, q.vertices), (skew_edge_id, [e.id for e in q.edges])
+
+
 def translation_action(q, kappa):
     """Right translation (x, h).g = (x, hg) on skew_product(q, kappa)."""
     G = kappa.group
-    vperm = {}
-    eperm = {}
-    for g in G.elements:
-        vperm[g] = {
-            skew_vertex_id(v, h): skew_vertex_id(v, G.mul(h, g))
-            for v in q.vertices for h in G.elements
-        }
-        eperm[g] = {
-            skew_edge_id(e.id, h): skew_edge_id(e.id, G.mul(h, g))
-            for e in q.edges for h in G.elements
-        }
+    vperm, eperm = (
+        {g: {pair(x, h): pair(x, G.mul(h, g)) for x in items for h in G.elements}
+         for g in G.elements}
+        for pair, items in _pair_ids(q)
+    )
     return QuiverAction(G, vperm, eperm)
 
 
@@ -118,14 +117,7 @@ def quotient_quiver(q, a):
 def _quotient(q, a):
     """quotient_quiver's quotient and projection, computed afresh."""
     v_orbits, e_orbits = orbits(q, a)
-    v_rep = {}
-    for orb in v_orbits:
-        for v in orb:
-            v_rep[v] = orb[0]
-    e_rep = {}
-    for orb in e_orbits:
-        for eid in orb:
-            e_rep[eid] = orb[0]
+    v_rep, e_rep = ({x: orb[0] for orb in parts for x in orb} for parts in (v_orbits, e_orbits))
     edges = []
     for orb in e_orbits:
         rep = q.edge(orb[0])
@@ -150,6 +142,9 @@ def lift_system(quot, total, a, edge_orbit_map):
     if not is_free(total, a):
         raise SkewError("lift requires a free action")
     quot_weights = {e.id: e.weight for e in quot.edges}
+    for e in total.edges:
+        if e.id not in edge_orbit_map:
+            raise SkewError(f"orbit mismatch: edge {e.id!r} has no quotient edge")
     _, e_orbits = orbits(total, a)
     for orb in e_orbits:
         targets = {edge_orbit_map[eid] for eid in orb}
@@ -212,11 +207,8 @@ def gross_tucker_reconstruct(q, a, section=None):
     phi = {v: (proj.vmap[v], g_of[v]) for v in q.vertices}
     sigma = {e.id: (proj.emap[e.id], g_of[e.src]) for e in q.edges}
 
-    kmap = {}
-    for e in q.edges:
-        e0 = a.act_e(e.id, G.inv(g_of[e.src]))
-        kmap[proj.emap[e.id]] = g_of[q.edge(e0).rng]
-    kappa = Cocycle(G, kmap)
+    kmap = {proj.emap[e.id]: g_of[e.rng] for e in q.edges if g_of[e.src] == G.identity}
+    kappa = Cocycle(G, {o.id: kmap[o.id] for o in quot.edges})
 
     skew = skew_product(quot, kappa)
     iso = QuiverIso(QuiverMorphism(
@@ -229,14 +221,10 @@ def gross_tucker_reconstruct(q, a, section=None):
     # suffices: the action is a homomorphism (validated on G x S), so
     # equivariance extends to G by induction on word length.
     for g in G.generators:
-        for v in q.vertices:
-            o, h = phi[v]
-            if phi[a.act_v(v, g)] != (o, G.mul(h, g)):
-                raise SkewOrbitError("phi is not G-equivariant")
-        for e in q.edges:
-            o, h = sigma[e.id]
-            if sigma[a.act_e(e.id, g)] != (o, G.mul(h, g)):
-                raise SkewOrbitError("sigma is not G-equivariant")
+        for name, trivial, perm in (("phi", phi, a.vperm[g]), ("sigma", sigma, a.eperm[g])):
+            for x, (o, h) in trivial.items():
+                if trivial[perm[x]] != (o, G.mul(h, g)):
+                    raise SkewOrbitError(f"{name} is not G-equivariant")
     return GrossTuckerWitness(quot, kappa, phi, sigma, iso)
 
 
@@ -245,19 +233,12 @@ def _first_factor_iso(q, G, quot):
     of q by G under translation onto q; unchecked."""
     # Each orbit representative is some (x, g); its first factor is the
     # canonical image.  Recover it from the construction, not by string
-    # parsing, since vertex ids are opaque.
-    v_first = {}
-    for v in q.vertices:
-        for g in G.elements:
-            v_first[skew_vertex_id(v, g)] = v
-    e_first = {}
-    for e in q.edges:
-        for g in G.elements:
-            e_first[skew_edge_id(e.id, g)] = e.id
-    return QuiverIso(QuiverMorphism(
-        {o: v_first[o] for o in quot.vertices},
-        {e.id: e_first[e.id] for e in quot.edges},
-    ))
+    # parsing, since ids are opaque.
+    maps = []
+    for (pair, items), reps in zip(_pair_ids(q), (quot.vertices, [e.id for e in quot.edges])):
+        first = {pair(x, g): x for x in items for g in G.elements}
+        maps.append({o: first[o] for o in reps})
+    return QuiverIso(QuiverMorphism(*maps))
 
 
 def check_skew_orbit(q, kappa):

@@ -311,10 +311,18 @@ class TestVerify:
     def test_missing_args(self):
         assert main(["verify"]) == 2
 
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
-        assert main(["verify", "--random", "1", "--budget", budget]) == 2
-        assert capsys.readouterr() == ("", "parse error: --budget must be at least 1\n")
+    @pytest.mark.parametrize("args, err", [
+        (["--random", "1", "--budget", "0"], "--budget must be at least 1"),
+        (["--random", "1", "--budget", "-1"], "--budget must be at least 1"),
+        (["--random", "0"], "--random must be at least 1"),
+        (["--random", "-3"], "--random must be at least 1"),
+        (["--random", "2", "q.json", "k.json"], "--random takes no quiver or cocycle"),
+        (["--random", "2", "q.json"], "--random takes no quiver or cocycle"),
+    ], ids=["0", "-1", "random-0", "random-negative", "random-with-files",
+            "random-with-quiver"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, args, err):
+        assert main(["verify"] + args) == 2
+        assert capsys.readouterr() == ("", f"parse error: {err}\n")
 
 
 class TestExportDot:
@@ -443,17 +451,56 @@ class TestGolden:
     NOT_FREE = {"group": Z2, "vperm": {"0": IDENT, "1": IDENT},
                 "eperm": {"0": {"a": "a", "b": "b"}, "1": {"a": "a", "b": "b"}}}
 
-    @pytest.mark.parametrize("command, action, err", [
-        ("quotient", NOT_AN_ACTION,
+    Z3 = {"kind": "cyclic", "n": 3}
+    IDENT_E = {"a": "a", "b": "b"}
+    SWAP_E = {"a": "b", "b": "a"}
+    # v -> w and v -> x: moving w alone keeps sources and breaks ranges.
+    FORK_QUIVER = {
+        "vertices": ["v", "w", "x"],
+        "edges": [{"id": "a", "src": "v", "rng": "w", "weight": "1"},
+                  {"id": "b", "src": "v", "rng": "x", "weight": "1"}],
+    }
+
+    @pytest.mark.parametrize("command, quiver, action, err", [
+        ("quotient", SWAP_QUIVER, NOT_AN_ACTION,
          "error: invalid action: identity element does not act as the identity\n"),
-        ("quotient", NOT_FREE, "error: quotient requires a free action\n"),
-        ("reconstruct", NOT_AN_ACTION,
+        ("quotient", SWAP_QUIVER, NOT_FREE, "error: quotient requires a free action\n"),
+        ("reconstruct", SWAP_QUIVER, NOT_AN_ACTION,
          "error: invalid action: identity element does not act as the identity\n"),
-        ("reconstruct", NOT_FREE, "error: reconstruction requires a free action\n"),
+        ("reconstruct", SWAP_QUIVER, NOT_FREE,
+         "error: reconstruction requires a free action\n"),
+        ("quotient", SWAP_QUIVER,
+         {"group": Z2, "vperm": {"0": IDENT, "1": {"v": "v", "w": "v"}},
+          "eperm": {"0": IDENT_E, "1": SWAP_E}},
+         "error: invalid action: vertex permutation for '1' is not a permutation"
+         " of the vertices\n"),
+        ("quotient", SWAP_QUIVER,
+         {"group": Z2, "vperm": {"0": IDENT, "1": SWAP},
+          "eperm": {"0": IDENT_E, "1": {"a": "b"}}},
+         "error: invalid action: edge permutation for '1' is not a permutation"
+         " of the edges\n"),
+        ("quotient", SWAP_QUIVER,
+         {"group": Z3, "vperm": {"0": IDENT, "1": SWAP, "2": SWAP},
+          "eperm": {"0": IDENT_E, "1": SWAP_E, "2": SWAP_E}},
+         "error: invalid action: vertex homomorphism law fails at ('1','1')\n"),
+        ("reconstruct", SWAP_QUIVER,
+         {"group": Z3, "vperm": {"0": IDENT, "1": IDENT, "2": IDENT},
+          "eperm": {"0": IDENT_E, "1": SWAP_E, "2": SWAP_E}},
+         "error: invalid action: edge homomorphism law fails at ('1','1')\n"),
+        ("quotient", SWAP_QUIVER,
+         {"group": Z2, "vperm": {"0": IDENT, "1": SWAP}, "eperm": {"0": IDENT_E, "1": IDENT_E}},
+         "error: invalid action: source commuting fails for edge 'a' under '1'\n"),
+        ("reconstruct", FORK_QUIVER,
+         {"group": Z2, "vperm": {"0": {"v": "v", "w": "w", "x": "x"},
+                                 "1": {"v": "v", "w": "x", "x": "w"}},
+          "eperm": {"0": IDENT_E, "1": IDENT_E}},
+         "error: invalid action: range commuting fails for edge 'a' under '1'\n"),
     ], ids=["quotient-invalid", "quotient-not-free", "reconstruct-invalid",
-            "reconstruct-not-free"])
-    def test_action_errors(self, tmp_path, capsys, command, action, err):
-        qf = write(tmp_path / "q.json", SWAP_QUIVER)
+            "reconstruct-not-free", "vertex-permutation", "edge-permutation",
+            "vertex-homomorphism", "edge-homomorphism", "source-commuting",
+            "range-commuting"])
+    def test_action_errors(self, tmp_path, capsys, command, quiver, action, err):
+        qf = write(tmp_path / "q.json", quiver)
         af = write(tmp_path / "a.json", action)
         assert main([command, qf, af]) == 1
         assert capsys.readouterr() == ("", err)

@@ -150,6 +150,31 @@ class TestValidateAction:
         report = validate_action(q, a)
         assert any("homomorphism" in r for r in report)
 
+    def test_full_report_when_several_laws_break(self):
+        q = mk(["v", "w", "x"], [("a", "v", "w", 1), ("b", "w", "x", 1), ("c", "x", "v", 2)])
+        ident = {"v": "v", "w": "w", "x": "x"}
+        a = QuiverAction(
+            make_cyclic(3),
+            {"0": ident, "1": {"v": "w", "w": "x", "x": "v"}, "2": ident},
+            {"0": {"a": "b", "b": "a", "c": "c"}, "1": {"a": "c", "b": "a", "c": "b"},
+             "2": {"a": "b", "b": "c", "c": "a"}},
+        )
+        # At ('2','1') both laws fail; only the vertex line is reported.
+        assert validate_action(q, a) == [
+            "identity element does not act as the identity",
+            "edge homomorphism law fails at ('0','1')",
+            "vertex homomorphism law fails at ('1','1')",
+            "vertex homomorphism law fails at ('2','1')",
+            "source commuting fails for edge 'a' under '1'",
+            "range commuting fails for edge 'a' under '1'",
+            "weight equivariance fails for edge 'a' under '1'",
+            "source commuting fails for edge 'b' under '1'",
+            "range commuting fails for edge 'b' under '1'",
+            "source commuting fails for edge 'c' under '1'",
+            "range commuting fails for edge 'c' under '1'",
+            "weight equivariance fails for edge 'c' under '1'",
+        ]
+
 
 class TestFreeness:
     def test_trivial_group_is_free(self):
@@ -173,6 +198,10 @@ class TestFreeness:
         a = trivial_action(q, make_cyclic(2))
         assert validate_action(q, a) == []
         assert not is_free(q, a)
+
+    def test_identity_action_of_z2_on_a_loop_not_edge_free(self):
+        q = mk(["v"], [("e", "v", "v", 1)])
+        assert not edge_free(q, trivial_action(q, make_cyclic(2)))
 
 
 class TestOrbits:

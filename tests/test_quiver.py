@@ -98,6 +98,18 @@ class TestCheckMorphism:
         with pytest.raises(QuiverError):
             check_morphism(q, q, QuiverMorphism({"v": "v"}, {}))
 
+    @pytest.mark.parametrize("vmap, emap, message", [
+        ({}, {"e": "e"}, "morphism undefined on vertex 'v'"),
+        ({"v": "u"}, {"e": "e"}, "morphism maps vertex 'v' outside target"),
+        ({"v": "v"}, {}, "morphism undefined on edge 'e'"),
+        ({"v": "v"}, {"e": "f"}, "morphism maps edge 'e' outside target"),
+    ], ids=["vertex-undefined", "vertex-outside", "edge-undefined", "edge-outside"])
+    def test_error_names_the_kind_and_item(self, vmap, emap, message):
+        q = mk(["v"], [("e", "v", "v", 1)])
+        with pytest.raises(QuiverError) as info:
+            check_morphism(q, q, QuiverMorphism(vmap, emap))
+        assert str(info.value) == message
+
 
 class TestCheckIso:
     TWO_LOOPS = mk(["v", "w"], [("a", "v", "v", 1), ("b", "w", "w", 1)])

@@ -199,6 +199,15 @@ class TestLift:
         with pytest.raises(SkewError):
             lift_system(quot, q, a, bad_map)
 
+    def test_edge_missing_from_the_orbit_map(self):
+        q = loop_quiver()
+        kappa = Cocycle(make_cyclic(2), {"e": "1"})
+        skew, act = skew_product(q, kappa), translation_action(q, kappa)
+        quot, proj = quotient_quiver(skew, act)
+        del proj.emap["e@1"]
+        with pytest.raises(SkewError, match="^orbit mismatch: edge 'e@1' has no quotient edge$"):
+            lift_system(quot, skew, act, proj.emap)
+
 
 class TestGrossTucker:
     def test_identity_section_recovers_cocycle(self):
