@@ -159,7 +159,9 @@ def cmd_verify(args):
             raise qio.ParseError("--random must be at least 1")
         if args.quiver or args.cocycle:
             raise qio.ParseError("--random takes no quiver or cocycle")
-        cases = _random_cases(args.random, args.seed)
+        cases = _random_cases(args.random, 0 if args.seed is None else args.seed)
+    elif args.seed is not None:
+        raise qio.ParseError("--seed requires --random")
     elif not args.quiver or not args.cocycle:
         raise qio.ParseError("verify requires a quiver and a cocycle (or --random N)")
     else:
@@ -226,7 +228,7 @@ def build_parser():
                     help="max sections tried in the reconstruction roundtrip")
     sp.add_argument("--random", type=int, metavar="N",
                     help="verify N seeded random fixtures instead of files")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--inject-fault", action="store_true",
                     help="mutate one skew-product weight to exercise FAIL paths")
     sp.set_defaults(fn=cmd_verify)

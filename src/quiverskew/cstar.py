@@ -4,8 +4,11 @@ For a finite acyclic quiver the algebra is a direct sum of matrix blocks,
 one per vertex receiving no edge, of size equal to the number of directed
 paths emanating from that vertex.  For arbitrary finite quivers the
 K-groups come from the Smith normal form of the vertex matrix minus the
-identity, restricted to regular columns.  Weights never enter: these
-invariants depend only on the underlying multigraph.
+identity, restricted to regular columns.  That matrix is very sparse and
+most of its entries are +-1, so ``k_theory`` first eliminates unit pivots
+on the sparse matrix, cheapest first, and only then runs the dense Smith
+normal form, on the small residual the unit pivots leave.  Weights never
+enter: these invariants depend only on the underlying multigraph.
 
 Paths are counted, never listed: one pass in reverse topological order
 gives, for each vertex, the number of paths from it of each degree.  The
@@ -20,6 +23,7 @@ A cocycle extends to paths by kappa(p) = kappa(e1) * ... * kappa(en).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -227,27 +231,92 @@ def _smith_diagonal(A, U=None, V=None):
     return [A[i][i] for i in range(min(m, n))]
 
 
+def _unit_pivots(rows, ncols):
+    """Eliminate the unit pivots of a sparse integer matrix, cheapest first.
+
+    ``rows`` holds one dict per row, column -> nonzero entry, and is
+    consumed.  Each step takes an entry +-1 of least Markowitz cost
+    (row length - 1) * (column length - 1), clears the rest of its column
+    by exact row operations and drops its row and column; since SNF(I_k + R)
+    is I_k + SNF(R), each step puts one 1 on the diagonal.  Candidates wait
+    in a heap under the cost they had when pushed: a popped candidate that
+    is no longer a unit is skipped, and one whose cost has grown is pushed
+    back.  A cost that has fallen is not seen, so the order is Markowitz
+    order only roughly; the diagonal does not depend on it.  Returns the
+    number of pivots and the dense residual, without its zero rows and
+    columns, in which no entry is +-1.
+    """
+    cols = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+
+    def candidates(i):
+        row = rows[i]
+        return [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+                for j, a in row.items() if a == 1 or a == -1]
+
+    heap = [x for i in range(len(rows)) for x in candidates(i)]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, r, c = heapq.heappop(heap)
+        row = rows[r]
+        if row is None or row.get(c) not in (1, -1):
+            continue
+        now = (len(row) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, r, c))
+            continue
+        units += 1
+        rows[r] = None
+        for j in row:
+            cols[j].discard(r)
+        p = row.pop(c)
+        others, cols[c] = cols[c], set()
+        for i in others:
+            target = rows[i]
+            f = target.pop(c) * p
+            for j, a in row.items():
+                b = target.get(j, 0) - f * a
+                if b:
+                    if j not in target:
+                        cols[j].add(i)
+                    target[j] = b
+                else:
+                    del target[j]
+                    cols[j].discard(i)
+            for x in candidates(i):
+                heapq.heappush(heap, x)
+    live = [j for j in range(ncols) if cols[j]]
+    return units, [[row.get(j, 0) for j in live] for row in rows if row]
+
+
 def k_theory(q):
     """K0 (invariant factors and free rank) and K1 rank of the quiver algebra.
 
     Built from the map Z^R -> Z^V with column v in R given by
     M[w][v] = (number of edges w -> v) - delta_{v,w}; K0 is the cokernel,
-    K1 the kernel.  Only the diagonal of its Smith normal form is computed.
-    Convention is anchored by the 3-loop quiver, whose K0 must be Z/2.
+    K1 the kernel.  M is built sparse and its unit pivots are eliminated
+    first (``_unit_pivots``); only the diagonal of the Smith normal form of
+    the dense residual is then computed.  Convention is anchored by the
+    3-loop quiver, whose K0 must be Z/2.
     """
     idx = {v: i for i, v in enumerate(q.vertices)}
     reg = regular_vertices(q)
-    n = len(q.vertices)
-    M = [[0] * len(reg) for _ in range(n)]
-    for c, v in enumerate(reg):
-        M[idx[v]][c] = -1
     col = {v: c for c, v in enumerate(reg)}
+    rows = [{} for _ in q.vertices]
+    for v, c in col.items():
+        rows[idx[v]][c] = -1
     for e in q.edges:
-        M[idx[e.src]][col[e.rng]] += 1
-    nonzero = [d for d in _smith_diagonal(M) if d]
-    rank = len(nonzero)
+        row, c = rows[idx[e.src]], col[e.rng]
+        row[c] = row.get(c, 0) + 1
+    rows = [{j: a for j, a in row.items() if a} for row in rows]
+    units, residual = _unit_pivots(rows, len(reg))
+    nonzero = [d for d in _smith_diagonal(residual) if d]
+    rank = units + len(nonzero)
     return KTheory(
         k0_invariant_factors=tuple(d for d in nonzero if d >= 2),
-        k0_free_rank=n - rank,
+        k0_free_rank=len(q.vertices) - rank,
         k1_rank=len(reg) - rank,
     )

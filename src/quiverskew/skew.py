@@ -149,7 +149,9 @@ def lift_system(quot, total, a, edge_orbit_map):
     for orb in e_orbits:
         targets = {edge_orbit_map[eid] for eid in orb}
         if len(targets) != 1:
-            raise SkewError(f"orbit mismatch: orbit of {orb[0]!r} maps to {sorted(targets)}")
+            raise SkewError(
+                f"orbit mismatch: orbit of {orb[0]!r} maps to {sorted(targets, key=repr)}"
+            )
         if next(iter(targets)) not in quot_weights:
             raise SkewError(f"orbit mismatch: unknown quotient edge {next(iter(targets))!r}")
     covered = {edge_orbit_map[e.id] for e in total.edges}

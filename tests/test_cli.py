@@ -318,8 +318,9 @@ class TestVerify:
         (["--random", "-3"], "--random must be at least 1"),
         (["--random", "2", "q.json", "k.json"], "--random takes no quiver or cocycle"),
         (["--random", "2", "q.json"], "--random takes no quiver or cocycle"),
+        (["q.json", "k.json", "--seed", "5"], "--seed requires --random"),
     ], ids=["0", "-1", "random-0", "random-negative", "random-with-files",
-            "random-with-quiver"])
+            "random-with-quiver", "seed-without-random"])
     def test_budget_below_one_is_a_usage_error(self, capsys, args, err):
         assert main(["verify"] + args) == 2
         assert capsys.readouterr() == ("", f"parse error: {err}\n")

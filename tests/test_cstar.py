@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quiverskew import (
     Cocycle,
@@ -25,7 +26,7 @@ from quiverskew import (
 )
 from quiverskew import io as qio
 from quiverskew.cli import main
-from quiverskew.cstar import CStarError, KTheory
+from quiverskew.cstar import CStarError, KTheory, _smith_diagonal
 from quiverskew.quiver import Edge, FiniteQuiver
 from quiverskew.randgen import random_acyclic_quiver, random_cocycle, random_quiver
 
@@ -153,6 +154,14 @@ class TestSmithNormalForm:
             M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
             expect = invariant_factors(sympy.Matrix(M), domain=sympy.ZZ)
             assert smith_normal_form(M).diagonal == tuple(int(d) for d in expect)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                q = random_quiver(rng)
+                skew = skew_product(q, random_cocycle(rng, q, make_cyclic(n)))
+                M = k_theory_matrix(skew)
+                if M[0]:
+                    expect = invariant_factors(sympy.Matrix(M), domain=sympy.ZZ)
+                    assert k_theory(skew) == k_theory_from(M, [int(d) for d in expect])
 
 
 def k_theory_matrix(q):
@@ -161,6 +170,31 @@ def k_theory_matrix(q):
     idx = {v: i for i, v in enumerate(q.vertices)}
     reg = regular_vertices(q)
     return [[A[idx[v]][idx[w]] - (v == w) for v in reg] for w in q.vertices]
+
+
+def k_theory_from(M, diagonal):
+    """The K-groups read off M and the diagonal of its Smith normal form."""
+    d = [x for x in diagonal if x]
+    return KTheory(tuple(x for x in d if x > 1), len(M) - len(d), len(M[0]) - len(d))
+
+
+def random_base(rng, nv, ne):
+    """nv vertices and ne edges with endpoints drawn from rng, all of weight 1."""
+    V = [f"v{i}" for i in range(nv)]
+    return FiniteQuiver(V, [Edge(f"e{i}", rng.choice(V), rng.choice(V), 1) for i in range(ne)])
+
+
+@st.composite
+def multiquivers(draw):
+    """Quivers with loops, repeated edges, sinks and sources: each drawn
+    (src, rng) pair is repeated up to three times."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
+    edges = []
+    for _ in range(draw(st.integers(0, 14))):
+        src, rng = draw(st.sampled_from(vs)), draw(st.sampled_from(vs))
+        for _ in range(draw(st.integers(1, 3))):
+            edges.append((f"e{len(edges)}", src, rng, 1))
+    return mk(vs, edges)
 
 
 class TestKTheory:
@@ -200,18 +234,26 @@ class TestKTheory:
         # its Smith normal form once ran for minutes with exploding entries.
         rng = random.Random(1)
         for nv, ne, n in [(10, 20, 6), (20, 40, 6), (20, 40, 12)]:
-            V = [f"v{i}" for i in range(nv)]
-            q = FiniteQuiver(
-                V, [Edge(f"e{i}", rng.choice(V), rng.choice(V), 1) for i in range(ne)]
-            )
+            q = random_base(rng, nv, ne)
             kappa = random_cocycle(rng, q, make_cyclic(n))
         skew = skew_product(q, kappa)
         assert len(skew.vertices) == 240
-        with deadline(10):
+        with deadline(2):
             kt = k_theory(skew)
-        assert kt.k0_invariant_factors == (8, 8)
-        assert kt.k0_free_rank == 12
-        assert kt.k1_rank == 0
+        assert kt == KTheory((8, 8), 12, 0)
+
+    @pytest.mark.parametrize("nv, ne, group, seconds, expect", [
+        (20, 40, make_symmetric(5), 4, KTheory((), 600, 0)),
+        (30, 60, make_cyclic(100), 8, KTheory((3, 18), 300, 0)),
+    ], ids=["S5-2400", "Z100-3000"])
+    def test_large_skew_products(self, nv, ne, group, seconds, expect):
+        # The dense elimination took 18 s on the S5 case.
+        rng = random.Random(1)
+        q = random_base(rng, nv, ne)
+        skew = skew_product(q, random_cocycle(rng, q, group))
+        assert len(skew.vertices) == nv * group.order
+        with deadline(seconds):
+            assert k_theory(skew) == expect
 
     def test_witness_free_path_agrees_with_smith_normal_form(self):
         rng = random.Random(4)
@@ -221,10 +263,15 @@ class TestKTheory:
                 q = make(rng)
                 skew = skew_product(q, random_cocycle(rng, q, make_cyclic(n)))
                 M = k_theory_matrix(skew)
-                d = [x for x in smith_normal_form(M).diagonal if x]
-                assert k_theory(skew) == KTheory(
-                    tuple(x for x in d if x > 1), len(M) - len(d), len(M[0]) - len(d)
-                )
+                assert k_theory(skew) == k_theory_from(M, smith_normal_form(M).diagonal)
+
+    @settings(deadline=None, max_examples=200)
+    @given(multiquivers())
+    @example(mk(["v", "w"], []))  # no regular vertex
+    @example(mk(["v", "w"], [("a", "v", "v", 1), ("b", "w", "w", 1)]))  # all-zero matrix
+    def test_agrees_with_dense_elimination(self, q):
+        M = k_theory_matrix(q)
+        assert k_theory(q) == k_theory_from(M, _smith_diagonal(M))
 
 
 class TestAcyclic:

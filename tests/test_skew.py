@@ -208,6 +208,16 @@ class TestLift:
         with pytest.raises(SkewError, match="^orbit mismatch: edge 'e@1' has no quotient edge$"):
             lift_system(quot, skew, act, proj.emap)
 
+    def test_orbit_mapped_to_unorderable_images(self):
+        q = loop_quiver()
+        kappa = Cocycle(make_cyclic(2), {"e": "1"})
+        skew, act = skew_product(q, kappa), translation_action(q, kappa)
+        quot, proj = quotient_quiver(skew, act)
+        proj.emap["e@1"] = None
+        err = r"^orbit mismatch: orbit of 'e@0' maps to \['e@0', None\]$"
+        with pytest.raises(SkewError, match=err):
+            lift_system(quot, skew, act, proj.emap)
+
 
 class TestGrossTucker:
     def test_identity_section_recovers_cocycle(self):
