@@ -1,6 +1,6 @@
 """Finite groups by Cayley table, and their actions on quivers.
 
-Actions are right actions stored as full per-element permutation tables:
+Actions are right actions given by per-element permutation tables:
 ``v . (g*h) == (v . g) . h``.  Every group in scope has order <= 120.  The
 group and action laws are checked against a generating set S of the group
 (|S| <= log2 |G|), not against all pairs or triples of elements, so
@@ -9,8 +9,10 @@ Cayley table.
 
 An action's tables are read-only copies made when it is built, so what is
 derived from an action and a quiver cannot go stale: ``validate_action``,
-``is_free`` and ``orbits`` each compute once per (action, quiver object)
-pair and answer later calls from a memo on the action.
+``is_free``, ``orbits`` and the quotient in ``skew`` each compute once per
+(action, quiver object) pair, from an index view of the action built once
+per pair in O(|G|.(|V|+|E|)): per element, the tuple of the image indices
+of q's vertices and of its edges.  Each law compares whole tuples.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, ne
 from types import MappingProxyType
+from typing import NamedTuple
 
 MAX_ORDER = 120
 
@@ -34,11 +37,8 @@ class FiniteGroup:
         self.elements = tuple(elements)
         self.table = {g: dict(row) for g, row in table.items()}
         self.identity = identity
-        self._inv = {}
-        for g in self.elements:
-            for h in self.elements:
-                if self.table[g][h] == identity:
-                    self._inv[g] = h
+        self._inv = {g: h for g in self.elements for h in self.elements
+                     if self.table[g][h] == identity}
 
     def mul(self, g, h):
         return self.table[g][h]
@@ -142,13 +142,7 @@ def make_symmetric(n):
         raise GroupError("symmetric group supported for 1 <= n <= 5")
     perms = sorted(itertools.permutations(range(n)))
     name = {p: "".join(str(i + 1) for i in p) for p in perms}
-    table = {}
-    for p in perms:
-        row = {}
-        for q in perms:
-            comp = tuple(q[p[i]] for i in range(n))
-            row[name[q]] = name[comp]
-        table[name[p]] = row
+    table = {name[p]: {name[q]: name[tuple(q[i] for i in p)] for q in perms} for p in perms}
     identity = name[tuple(range(n))]
     return FiniteGroup([name[p] for p in perms], table, identity)
 
@@ -166,7 +160,8 @@ class QuiverAction:
     ``a.vperm[g][v]`` raises ``TypeError``, and later changes to the caller's
     dicts do not reach the action.  The validation report, freeness and
     orbits on a quiver are memoised per quiver object (by identity; the memo
-    holds a reference to the quiver), so each is computed once.
+    holds a reference to the quiver), so each is computed once, from the
+    action's index view on that quiver (see the module docstring).
     """
 
     group: FiniteGroup
@@ -193,13 +188,69 @@ class QuiverAction:
         return facts[compute]
 
 
-def _composes(p, r, pr):
-    """True iff pr[x] == r[p[x]] for every x, for permutations p, r, pr of
-    one set (apply p, then r)."""
-    if not p:
-        return True
-    # Both sides are tuples, or both single values when there is one x.
-    return itemgetter(*p)(pr) == itemgetter(*p.values())(r)
+def _getter(keys):
+    """itemgetter(*keys), returning a tuple for any number of keys."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda m: tuple(m[k] for k in keys)
+
+
+class _Side(NamedTuple):
+    kind: str  # "vertex" or "edge"
+    items: tuple  # the quiver's vertex (or edge) ids, in input order
+    pos: dict  # id -> its index in items
+    tables: dict  # element -> the tuple of image indices, in G.elements order
+
+    def fixed_point_free(self, ident):
+        """True iff no element but ``ident`` fixes one of the items."""
+        return all(all(map(ne, t, range(len(t)))) for g, t in self.tables.items() if g != ident)
+
+    def orbits(self):
+        """``orbits`` of the items: the orbit of x is the set of column x of the tables."""
+        seen, parts = set(), []
+        for x, column in enumerate(zip(*self.tables.values())):
+            if x not in seen:
+                seen.update(column)
+                parts.append(_getter(sorted(set(column)))(self.items))
+        return parts
+
+
+class _IndexView:
+    """The action a on the quiver q on indices, built by ``a._derived(q, _IndexView)``.
+    ``error`` names the first table (g outer, vertices first) that is not a permutation of
+    q's items; src, rng and weight give each edge's source, range and weight class."""
+
+    def __init__(self, q, a):
+        self.vertices, self.edges = sides = [
+            _Side(kind, items, {x: i for i, x in enumerate(items)}, {})
+            for kind, items in (("vertex", q.vertices), ("edge", tuple(e.id for e in q.edges)))]
+        vpos, classes = self.vertices.pos, {}
+        self.src = tuple(vpos[e.src] for e in q.edges)
+        self.rng = tuple(vpos[e.rng] for e in q.edges)
+        self.weight = tuple(classes.setdefault(e.weight.as_integer_ratio(), len(classes))
+                            for e in q.edges)
+        self.error = None
+        for g in a.group.elements:
+            for side, perms in zip(sides, (a.vperm, a.eperm)):
+                p, n = perms.get(g), len(side.pos)
+                try:  # KeyError: an item without image, or an image that is no item
+                    t = None if p is None else _getter(_getter(side.items)(p))(side.pos)
+                except KeyError:
+                    t = None
+                if t is None or len(p) != n or len(set(t)) != n:
+                    self.error = (f"{side.kind} permutation for {g!r} is not a permutation of the "
+                                  + ("vertices" if side.kind == "vertex" else "edges"))
+                    return
+                side.tables[g] = t
+
+
+def _view(q, a, error=GroupError):
+    """a's memoised index view on q; raises ``error`` if a table is not a
+    permutation of q's items."""
+    view = a._derived(q, _IndexView)
+    if view.error:
+        raise error(f"invalid action: {view.error}")
+    return view
 
 
 def validate_action(q, a):
@@ -217,57 +268,52 @@ def validate_action(q, a):
 
 
 def _action_report(q, a):
-    """validate_action's report, computed afresh."""
+    """validate_action's report, computed afresh; edges are named one by one only on failure."""
+    view = a._derived(q, _IndexView)
+    if view.error:
+        return [view.error]
     report = []
     G = a.group
-    tables = (("vertex", "vertices", a.vperm, set(q.vertices)),
-              ("edge", "edges", a.eperm, {e.id for e in q.edges}))
-    for g in G.elements:
-        for kind, plural, perms, items in tables:
-            p = perms.get(g)
-            if p is None or p.keys() != items or set(p.values()) != items:
-                report.append(f"{kind} permutation for {g!r} is not a permutation of the {plural}")
-                return report
-    idg = G.identity
-    if any(perms[idg][x] != x for _, _, perms, items in tables for x in items):
+    sides = view.vertices, view.edges
+    if any(side.tables[G.identity] != tuple(range(len(side.items))) for side in sides):
         report.append("identity element does not act as the identity")
     for g in G.elements:
         for s in G.generators:
             gs = G.mul(g, s)
-            for kind, _, perms, _ in tables:
-                if not _composes(perms[g], perms[s], perms[gs]):
-                    report.append(f"{kind} homomorphism law fails at ({g!r},{s!r})")
+            for side in sides:
+                t = side.tables  # _getter(t[g])(t[s])[x] == t[s][t[g][x]], (x.g).s
+                if _getter(t[g])(t[s]) != t[gs]:
+                    report.append(f"{side.kind} homomorphism law fails at ({g!r},{s!r})")
                     break
+    src, rng, weight = view.src, view.rng, view.weight
+    of_src, of_rng = _getter(src), _getter(rng)
     for s in G.generators:
-        vs, es = a.vperm[s], a.eperm[s]
-        for e in q.edges:
-            img = q.edge(es[e.id])
-            if img.src != vs[e.src]:
+        vs, es = view.vertices.tables[s], view.edges.tables[s]
+        at_image = _getter(es)
+        if (at_image(src), at_image(rng), at_image(weight)) == (of_src(vs), of_rng(vs), weight):
+            continue
+        for i, (e, j) in enumerate(zip(q.edges, es)):
+            if src[j] != vs[src[i]]:
                 report.append(f"source commuting fails for edge {e.id!r} under {s!r}")
-            if img.rng != vs[e.rng]:
+            if rng[j] != vs[rng[i]]:
                 report.append(f"range commuting fails for edge {e.id!r} under {s!r}")
-            if img.weight != e.weight:
+            if weight[j] != weight[i]:
                 report.append(f"weight equivariance fails for edge {e.id!r} under {s!r}")
     return report
 
 
 def is_free(q, a):
-    """True iff no non-identity element fixes a vertex."""
+    """True iff no non-identity element fixes a vertex; raises GroupError as ``orbits`` does."""
     return a._derived(q, _is_free)
 
 
 def _is_free(q, a):
-    return not _fixes_some(a.group, a.vperm, q.vertices)
+    return _view(q, a).vertices.fixed_point_free(a.group.identity)
 
 
 def edge_free(q, a):
     """Freeness on edges; implied by vertex freeness, asserted as a property."""
-    return not _fixes_some(a.group, a.eperm, [e.id for e in q.edges])
-
-
-def _fixes_some(G, perms, items):
-    """True iff some non-identity element of G fixes one of ``items``."""
-    return any(perms[g][x] == x for g in G.elements if g != G.identity for x in items)
+    return _view(q, a).edges.fixed_point_free(a.group.identity)
 
 
 def orbits(q, a):
@@ -276,6 +322,7 @@ def orbits(q, a):
     Each orbit is a tuple sorted by input order with the canonical
     representative (least in input order) first; orbits are listed by their
     representative's input position.  The lists are fresh on every call.
+    Raises GroupError if a table is not a permutation of q's items.
     """
     v_orbits, e_orbits = a._derived(q, _orbits)
     return list(v_orbits), list(e_orbits)
@@ -283,18 +330,5 @@ def orbits(q, a):
 
 def _orbits(q, a):
     """orbits, computed afresh."""
-    G = a.group
-
-    def partition(perms, items):
-        pos = {x: i for i, x in enumerate(items)}
-        seen = set()
-        parts = []
-        for x in items:
-            if x in seen:
-                continue
-            orb = {perms[g][x] for g in G.elements}
-            seen |= orb
-            parts.append(tuple(sorted(orb, key=pos.__getitem__)))
-        return parts
-
-    return partition(a.vperm, q.vertices), partition(a.eperm, [e.id for e in q.edges])
+    view = _view(q, a)
+    return view.vertices.orbits(), view.edges.orbits()

@@ -8,6 +8,7 @@ identity byte-for-byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -58,14 +59,14 @@ def _require(obj, key, typ, what):
 
 
 def _strings(items):
-    return all(isinstance(x, str) for x in items)
+    return all(map(isinstance, items, itertools.repeat(str)))
 
 
 def parse_quiver_document(obj):
     """A quiver from its document; each distinct weight string is parsed once."""
     vertices = _require(obj, "vertices", list, "quiver document")
     raw_edges = _require(obj, "edges", list, "quiver document")
-    if not all(isinstance(v, str) for v in vertices):
+    if not _strings(vertices):
         raise ParseError("quiver document: vertices must be strings")
     edges = []
     weights = {}

@@ -20,7 +20,7 @@ from .quiver import (
     check_iso,
     check_morphism,
 )
-from .group import QuiverAction, is_free, orbits, validate_action
+from .group import QuiverAction, _getter, _view, is_free, orbits, validate_action
 
 
 class SkewError(ValueError):
@@ -118,11 +118,12 @@ def _quotient(q, a):
     """quotient_quiver's quotient and projection, computed afresh."""
     v_orbits, e_orbits = orbits(q, a)
     v_rep, e_rep = ({x: orb[0] for orb in parts for x in orb} for parts in (v_orbits, e_orbits))
+    view = _view(q, a, SkewError)
     edges = []
     for orb in e_orbits:
         rep = q.edge(orb[0])
         # Equivariance of the weights makes the descent well defined.
-        assert all(q.edge(eid).weight == rep.weight for eid in orb)
+        assert len({view.weight[view.edges.pos[eid]] for eid in orb}) == 1
         edges.append(Edge(orb[0], v_rep[rep.src], v_rep[rep.rng], rep.weight))
     quot = FiniteQuiver([orb[0] for orb in v_orbits], edges)
     proj = QuiverMorphism(v_rep, e_rep)
@@ -139,6 +140,7 @@ def lift_system(quot, total, a, edge_orbit_map):
     {edge id -> Fraction}; lifted weights are constant on orbits, hence
     equivariant, and descend back to the quotient weights exactly.
     """
+    _view(total, a, SkewError)
     if not is_free(total, a):
         raise SkewError("lift requires a free action")
     quot_weights = {e.id: e.weight for e in quot.edges}
@@ -202,14 +204,16 @@ def gross_tucker_reconstruct(q, a, section=None):
         if proj.vmap.get(v) != o:
             raise SkewError(f"section point {v!r} is not in orbit {o!r}")
     G = a.group
-
+    view = _view(q, a, SkewError)
+    V, E = view.vertices, view.edges
     # g_v: the unique translator from the section point to v (freeness).
-    g_of = {a.act_v(base, g): g for base in rep.values() for g in G.elements}
+    g_of = {t[b]: g for b in map(V.pos.__getitem__, rep.values()) for g, t in V.tables.items()}
+    v_orb, v_g = _getter(V.items)(proj.vmap), _getter(range(len(V.items)))(g_of)
+    e_orb, e_g = _getter(E.items)(proj.emap), _getter(view.src)(g_of)
+    phi = dict(zip(V.items, zip(v_orb, v_g)))
+    sigma = dict(zip(E.items, zip(e_orb, e_g)))
 
-    phi = {v: (proj.vmap[v], g_of[v]) for v in q.vertices}
-    sigma = {e.id: (proj.emap[e.id], g_of[e.src]) for e in q.edges}
-
-    kmap = {proj.emap[e.id]: g_of[e.rng] for e in q.edges if g_of[e.src] == G.identity}
+    kmap = {o: g_of[r] for o, g, r in zip(e_orb, e_g, view.rng) if g == G.identity}
     kappa = Cocycle(G, {o.id: kmap[o.id] for o in quot.edges})
 
     skew = skew_product(quot, kappa)
@@ -222,11 +226,12 @@ def gross_tucker_reconstruct(q, a, section=None):
     # G-equivariance of the trivializations.  Checking the generators
     # suffices: the action is a homomorphism (validated on G x S), so
     # equivariance extends to G by induction on word length.
-    for g in G.generators:
-        for name, trivial, perm in (("phi", phi, a.vperm[g]), ("sigma", sigma, a.eperm[g])):
-            for x, (o, h) in trivial.items():
-                if trivial[perm[x]] != (o, G.mul(h, g)):
-                    raise SkewOrbitError(f"{name} is not G-equivariant")
+    for s in G.generators:
+        times_s = {h: G.mul(h, s) for h in G.elements}
+        for name, side, orb, gs in (("phi", V, v_orb, v_g), ("sigma", E, e_orb, e_g)):
+            at_image = _getter(side.tables[s])
+            if at_image(orb) != orb or at_image(gs) != _getter(gs)(times_s):
+                raise SkewOrbitError(f"{name} is not G-equivariant")
     return GrossTuckerWitness(quot, kappa, phi, sigma, iso)
 
 

@@ -32,6 +32,15 @@ def mk(vertices, edges):
     )
 
 
+def random_base(n, m, seed):
+    """B(n, m, seed): n vertices, m weight-1 edges with random endpoints,
+    and the generator that drew them, for drawing the cocycle next."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(n)]
+    return FiniteQuiver(vs, [Edge(f"e{i}", rng.choice(vs), rng.choice(vs), 1)
+                             for i in range(m)]), rng
+
+
 def trivial_action(q, group):
     """Every element of ``group`` acts on q as the identity."""
     idv = {v: v for v in q.vertices}

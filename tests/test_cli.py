@@ -506,6 +506,21 @@ class TestGolden:
         assert main([command, qf, af]) == 1
         assert capsys.readouterr() == ("", err)
 
+    GOLDEN = Path(__file__).parent / "golden"
+
+    @pytest.mark.parametrize("command, extra, expected", [
+        ("reconstruct", [], "z3_reconstruct.out"),
+        ("reconstruct", ["--section", "z3_section.json"], "z3_reconstruct_section.out"),
+        ("quotient", [], "z3_quotient.out"),
+    ], ids=["reconstruct", "reconstruct-section", "quotient"])
+    def test_free_z3_action(self, capsys, command, extra, expected):
+        # A Z/3 translation action on a skew product whose ids were renamed
+        # and reordered; the section file picks other points than the default.
+        files = [str(self.GOLDEN / name) for name in ("z3_quiver.json", "z3_action.json")]
+        extra = [str(self.GOLDEN / x) if x.endswith(".json") else x for x in extra]
+        assert main([command, *files, *extra]) == 0
+        assert capsys.readouterr() == ((self.GOLDEN / expected).read_text(), "")
+
     def test_verify_fails_under_python_O(self, tmp_path):
         qf = write(tmp_path / "q.json", S3_CYCLIC[0])
         kf = write(tmp_path / "k.json", S3_CYCLIC[1])

@@ -1,4 +1,5 @@
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -18,7 +19,7 @@ from quiverskew import (
 from quiverskew.group import GroupError
 from quiverskew.randgen import random_cocycle, random_quiver
 
-from conftest import LOOP5, mk, trivial_action
+from conftest import LOOP5, deadline, mk, random_base, trivial_action
 
 
 class TestMakeCyclic:
@@ -108,13 +109,14 @@ class TestValidateGroup:
         assert any("not a permutation" in r for r in validate_group(g))
 
 
-def swap_action_on_loops(w1, w2):
-    """Z/2 swapping two disjoint loops with the given weights."""
+def swap_action_on_loops(w1, w2, swap=None):
+    """Z/2 swapping two disjoint loops with the given weights; ``swap``
+    replaces the vertex table of "1"."""
     q = mk(["v", "w"], [("a", "v", "v", w1), ("b", "w", "w", w2)])
     g = make_cyclic(2)
     a = QuiverAction(
         g,
-        {"0": {"v": "v", "w": "w"}, "1": {"v": "w", "w": "v"}},
+        {"0": {"v": "v", "w": "w"}, "1": swap or {"v": "w", "w": "v"}},
         {"0": {"a": "a", "b": "b"}, "1": {"a": "b", "b": "a"}},
     )
     return q, a
@@ -272,6 +274,145 @@ class TestReadOnlyAndMemoised:
         assert orbits(q, a) == ([("v", "w")], [("a", "b")])
 
 
+class TestNotAPermutation:
+    """A table that is not a permutation of q's items: one explicit error,
+    the first line of validate_action's report."""
+
+    MESSAGE = "vertex permutation for '1' is not a permutation of the vertices"
+
+    def test_validate_action_reports_it(self):
+        q, a = swap_action_on_loops(1, 1, {"v": "w"})
+        assert validate_action(q, a) == [self.MESSAGE]
+
+    @pytest.mark.parametrize("fn", [is_free, edge_free, orbits])
+    def test_freeness_and_orbits_raise(self, fn):
+        q, a = swap_action_on_loops(1, 1, {"v": "w"})
+        with pytest.raises(GroupError) as exc:
+            fn(q, a)
+        assert str(exc.value) == f"invalid action: {self.MESSAGE}"
+
+
+def ref_composes(p, r, pr):
+    """True iff pr[x] == r[p[x]] for every x (apply p, then r)."""
+    if not p:
+        return True
+    return itemgetter(*p)(pr) == itemgetter(*p.values())(r)
+
+
+def ref_action_report(q, a):
+    """validate_action's report, computed on the string-keyed tables."""
+    report = []
+    G = a.group
+    tables = (("vertex", "vertices", a.vperm, set(q.vertices)),
+              ("edge", "edges", a.eperm, {e.id for e in q.edges}))
+    for g in G.elements:
+        for kind, plural, perms, items in tables:
+            p = perms.get(g)
+            if p is None or p.keys() != items or set(p.values()) != items:
+                report.append(f"{kind} permutation for {g!r} is not a permutation of the {plural}")
+                return report
+    idg = G.identity
+    if any(perms[idg][x] != x for _, _, perms, items in tables for x in items):
+        report.append("identity element does not act as the identity")
+    for g in G.elements:
+        for s in G.generators:
+            gs = G.mul(g, s)
+            for kind, _, perms, _ in tables:
+                if not ref_composes(perms[g], perms[s], perms[gs]):
+                    report.append(f"{kind} homomorphism law fails at ({g!r},{s!r})")
+                    break
+    for s in G.generators:
+        vs, es = a.vperm[s], a.eperm[s]
+        for e in q.edges:
+            img = q.edge(es[e.id])
+            if img.src != vs[e.src]:
+                report.append(f"source commuting fails for edge {e.id!r} under {s!r}")
+            if img.rng != vs[e.rng]:
+                report.append(f"range commuting fails for edge {e.id!r} under {s!r}")
+            if img.weight != e.weight:
+                report.append(f"weight equivariance fails for edge {e.id!r} under {s!r}")
+    return report
+
+
+def ref_fixes_some(G, perms, items):
+    """True iff some non-identity element of G fixes one of ``items``."""
+    return any(perms[g][x] == x for g in G.elements if g != G.identity for x in items)
+
+
+def ref_is_free(q, a):
+    return not ref_fixes_some(a.group, a.vperm, q.vertices)
+
+
+def ref_edge_free(q, a):
+    return not ref_fixes_some(a.group, a.eperm, [e.id for e in q.edges])
+
+
+def ref_orbits(q, a):
+    """orbits, computed on the string-keyed tables."""
+    G = a.group
+
+    def partition(perms, items):
+        pos = {x: i for i, x in enumerate(items)}
+        seen = set()
+        parts = []
+        for x in items:
+            if x in seen:
+                continue
+            orb = {perms[g][x] for g in G.elements}
+            seen |= orb
+            parts.append(tuple(sorted(orb, key=pos.__getitem__)))
+        return parts
+
+    return partition(a.vperm, q.vertices), partition(a.eperm, [e.id for e in q.edges])
+
+
+def assert_matches_reference(q, a):
+    """validate_action's full report, is_free, edge_free and orbits agree
+    with the string-keyed reference; returns the report."""
+    report = validate_action(q, a)
+    assert report == ref_action_report(q, a)
+    assert is_free(q, a) == ref_is_free(q, a)
+    assert edge_free(q, a) == ref_edge_free(q, a)
+    assert orbits(q, a) == ref_orbits(q, a)
+    return report
+
+
+DEGENERATE = {
+    "empty": mk([], []),
+    "vertex": mk(["v"], []),
+    "loop": mk(["v"], [("e", "v", "v", 1)]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["Z1", "Z2"])
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_quivers_match_reference(name, n):
+    q = DEGENERATE[name]
+    a = trivial_action(q, make_cyclic(n))
+    assert assert_matches_reference(q, a) == []
+    # One more vertex in the last element's table: not a permutation.
+    vperm = {g: dict(p) for g, p in a.vperm.items()}
+    vperm[str(n - 1)]["x"] = "x"
+    broken = QuiverAction(a.group, vperm, a.eperm)
+    report = validate_action(q, broken)
+    assert report == ref_action_report(q, broken)
+    assert report == [f"vertex permutation for '{n - 1}' is not a permutation of the vertices"]
+    with pytest.raises(GroupError):
+        is_free(q, broken)
+
+
+@pytest.mark.parametrize("n, m, group", [(20, 40, make_symmetric(5))], ids=["S5-2400"])
+def test_large_translation_action(n, m, group):
+    q, rng = random_base(n, m, 1)
+    kappa = random_cocycle(rng, q, group)
+    skew, act = skew_product(q, kappa), translation_action(q, kappa)
+    with deadline(2):
+        assert validate_action(skew, act) == []
+        assert is_free(skew, act)
+        v_orbits, e_orbits = orbits(skew, act)
+    assert len(v_orbits) == n and len(e_orbits) == m
+
+
 def oracle_valid(q, a):
     """Every action law over all elements and all pairs, checked directly."""
     G = a.group
@@ -336,7 +477,7 @@ def test_validate_action_matches_exhaustive_oracle(group):
         kappa = random_cocycle(rng, q, group)
         skew, act = corrupt(rng, skew_product(q, kappa), translation_action(q, kappa))
         valid = oracle_valid(skew, act)
-        assert (validate_action(skew, act) == []) == valid
+        assert (assert_matches_reference(skew, act) == []) == valid
         verdicts.append(valid)
     # Both outcomes occur, so the agreement is not vacuous.
     assert 0 < sum(verdicts) < len(verdicts)

@@ -26,16 +26,7 @@ from quiverskew import (
 from quiverskew.quiver import QuiverError
 from quiverskew.randgen import random_cocycle
 
-from conftest import brute_iso_exists, deadline, mk
-
-
-def random_base(n, m, seed):
-    """B(n, m, seed): n vertices, m weight-1 edges with random endpoints,
-    and the generator that drew them, for drawing the cocycle next."""
-    rng = random.Random(seed)
-    vs = [f"v{i}" for i in range(n)]
-    return FiniteQuiver(vs, [Edge(f"e{i}", rng.choice(vs), rng.choice(vs), 1)
-                             for i in range(m)]), rng
+from conftest import brute_iso_exists, deadline, mk, random_base
 
 
 def relabelled(q, rng):

@@ -208,6 +208,15 @@ class TestLift:
         with pytest.raises(SkewError, match="^orbit mismatch: edge 'e@1' has no quotient edge$"):
             lift_system(quot, skew, act, proj.emap)
 
+    def test_table_that_is_not_a_permutation(self):
+        q, a = swap_loops_action()
+        quot, proj = quotient_quiver(q, a)
+        broken = QuiverAction(a.group, {"0": a.vperm["0"], "1": {"v": "w"}}, a.eperm)
+        err = ("^invalid action: vertex permutation for '1' is not a permutation"
+               " of the vertices$")
+        with pytest.raises(SkewError, match=err):
+            lift_system(quot, q, broken, proj.emap)
+
     def test_orbit_mapped_to_unorderable_images(self):
         q = loop_quiver()
         kappa = Cocycle(make_cyclic(2), {"e": "1"})
