@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter, ne
 from types import MappingProxyType
 from typing import NamedTuple
@@ -33,6 +33,9 @@ class GroupError(ValueError):
 
 
 class FiniteGroup:
+    """A group by its Cayley table.  Groups are shared values (``make_cyclic`` and
+    ``make_symmetric`` return one object per n), so none may be mutated."""
+
     def __init__(self, elements, table, identity):
         self.elements = tuple(elements)
         self.table = {g: dict(row) for g, row in table.items()}
@@ -121,6 +124,7 @@ def validate_group(g):
     return report
 
 
+@cache
 def make_cyclic(n):
     """Cyclic group Z/n with elements "0".."n-1" under addition."""
     if not 1 <= n <= MAX_ORDER:
@@ -132,6 +136,7 @@ def make_cyclic(n):
     return FiniteGroup(els, table, "0")
 
 
+@cache
 def make_symmetric(n):
     """Symmetric group S_n (n <= 5) as one-line permutation words.
 

@@ -6,6 +6,9 @@ each vertex and edge: src(e,g) = (s(e), g), rng(e,g) = (r(e), kappa(e)*g),
 weight(e,g) = weight(e).  Right translation in the second coordinate is a
 free action whose quotient recovers the original quiver, and every free
 action arises this way once a section of the vertex orbits is chosen.
+One builder, ``_copies``, names the copies (x, h) ``x@h``, vertices then
+edges in input order and h in G.elements order, for the skew product, its
+translation action, the first-factor map and the Gross-Tucker witness.
 """
 
 from __future__ import annotations
@@ -53,40 +56,35 @@ def skew_edge_id(eid, g):
     return f"{eid}@{g}"
 
 
+def _copies(q, G):
+    """The ids of the copies (x, h) in the skew product by G, named here once:
+    for the vertices of q, then its edges, {x: {h: id of (x, h)}} in input order."""
+    return tuple({x: {h: pair(x, h) for h in G.elements} for x in items} for pair, items in (
+        (skew_vertex_id, q.vertices), (skew_edge_id, [e.id for e in q.edges])))
+
+
 def skew_product(q, kappa):
     """The skew product quiver q x_kappa G with canonical pair ids v@g, e@g."""
     G = kappa.group
     elements = set(G.elements)
-    for e in q.edges:
-        if kappa.value(e.id) not in elements:
-            raise SkewError(f"cocycle value for edge {e.id!r} is not a group element")
-    vertices = [skew_vertex_id(v, g) for v in q.vertices for g in G.elements]
+    vcopies, ecopies = _copies(q, G)
     edges = []
     for e in q.edges:
-        k = kappa.value(e.id)
-        for g in G.elements:
-            edges.append(Edge(
-                skew_edge_id(e.id, g),
-                skew_vertex_id(e.src, g),
-                skew_vertex_id(e.rng, G.mul(k, g)),
-                e.weight,
-            ))
-    return FiniteQuiver(vertices, edges)
-
-
-def _pair_ids(q):
-    """(pair-id maker, ids of q) for the vertices, then for the edges."""
-    return (skew_vertex_id, q.vertices), (skew_edge_id, [e.id for e in q.edges])
+        k, src, rng = kappa.value(e.id), vcopies[e.src], vcopies[e.rng]
+        if k not in elements:
+            raise SkewError(f"cocycle value for edge {e.id!r} is not a group element")
+        for g, x in ecopies[e.id].items():
+            edges.append(Edge(x, src[g], rng[G.mul(k, g)], e.weight))
+    return FiniteQuiver([x for v in q.vertices for x in vcopies[v].values()], edges)
 
 
 def translation_action(q, kappa):
-    """Right translation (x, h).g = (x, hg) on skew_product(q, kappa)."""
+    """Right translation (x, h).g = (x, hg) on skew_product(q, kappa), on the ids
+    ``_copies`` gives: vertices then edges in input order, h in G.elements order."""
     G = kappa.group
-    vperm, eperm = (
-        {g: {pair(x, h): pair(x, G.mul(h, g)) for x in items for h in G.elements}
-         for g in G.elements}
-        for pair, items in _pair_ids(q)
-    )
+    right = {g: [(h, G.mul(h, g)) for h in G.elements] for g in G.elements}
+    vperm, eperm = ({g: {ids[h]: ids[hg] for ids in copies.values() for h, hg in pairs}
+                     for g, pairs in right.items()} for copies in _copies(q, G))
     return QuiverAction(G, vperm, eperm)
 
 
@@ -217,10 +215,9 @@ def gross_tucker_reconstruct(q, a, section=None):
     kappa = Cocycle(G, {o.id: kmap[o.id] for o in quot.edges})
 
     skew = skew_product(quot, kappa)
-    iso = QuiverIso(QuiverMorphism(
-        {v: skew_vertex_id(*phi[v]) for v in q.vertices},
-        {e.id: skew_edge_id(*sigma[e.id]) for e in q.edges},
-    ))
+    vcopies, ecopies = _copies(quot, G)
+    iso = QuiverIso(QuiverMorphism({v: vcopies[o][g] for v, (o, g) in phi.items()},
+                                   {e: ecopies[o][g] for e, (o, g) in sigma.items()}))
     if not check_iso(q, skew, iso):
         raise SkewOrbitError("reconstructed witness failed isomorphism verification")
     # G-equivariance of the trivializations.  Checking the generators
@@ -237,15 +234,12 @@ def gross_tucker_reconstruct(q, a, section=None):
 
 def _first_factor_iso(q, G, quot):
     """The first-factor map (x, g) -> x from the quotient of a skew product
-    of q by G under translation onto q; unchecked."""
-    # Each orbit representative is some (x, g); its first factor is the
-    # canonical image.  Recover it from the construction, not by string
-    # parsing, since ids are opaque.
-    maps = []
-    for (pair, items), reps in zip(_pair_ids(q), (quot.vertices, [e.id for e in quot.edges])):
-        first = {pair(x, g): x for x in items for g in G.elements}
-        maps.append({o: first[o] for o in reps})
-    return QuiverIso(QuiverMorphism(*maps))
+    of q by G under translation onto q, read off the copies since ids are
+    opaque; unchecked."""
+    vfirst, efirst = ({x: item for item, ids in copies.items() for x in ids.values()}
+                      for copies in _copies(q, G))
+    return QuiverIso(QuiverMorphism({o: vfirst[o] for o in quot.vertices},
+                                    {e.id: efirst[e.id] for e in quot.edges}))
 
 
 def check_skew_orbit(q, kappa):

@@ -533,6 +533,21 @@ class TestGolden:
         assert proc.stdout == SUITE_S3_FAULT
 
 
+@pytest.mark.parametrize("argv, code, expected", [
+    (["verify", "--random", "20", "--seed", "0"], 0, "verify_random20_seed0.out"),
+    (["verify", "--random", "20", "--seed", "0", "--inject-fault"], 1,
+     "verify_random20_seed0_fault.out"),
+    (["skew", "q.json", "k.json"], 0, "s3_cyclic_skew.out"),
+], ids=["verify-random", "verify-random-fault", "skew-s3"])
+def test_golden_stdout(tmp_path, capsys, argv, code, expected):
+    # skew runs on the S3_CYCLIC fixture; verify --random on seeded draws
+    # over Z/2, Z/3, Z/4, Z/6 and S3.
+    files = {"q.json": write(tmp_path / "q.json", S3_CYCLIC[0]),
+             "k.json": write(tmp_path / "k.json", S3_CYCLIC[1])}
+    assert main([files.get(a, a) for a in argv]) == code
+    assert capsys.readouterr() == ((TestGolden.GOLDEN / expected).read_text(), "")
+
+
 def test_run_suite_validates_and_takes_the_quotient_once(monkeypatch):
     from quiverskew import group as group_mod, skew as skew_mod
 
@@ -656,6 +671,47 @@ class TestDocumentTypes:
         af = write(tmp_path / "a.json", dict(SWAP_ACTION, **perms))
         assert main(["quotient", qf, af]) == 2
         assert capsys.readouterr().err.startswith("parse error: ")
+
+
+class TestParseMessages:
+    def test_weight_that_is_not_a_fraction(self):
+        with pytest.raises(qio.ParseError) as info:
+            qio.parse_fraction("1.5")
+        assert str(info.value) == "weight must be a string like '3' or '5/7', got '1.5'"
+
+    def test_vertex_that_is_not_a_string(self):
+        with pytest.raises(qio.ParseError) as info:
+            qio.parse_quiver_document({"vertices": ["v", 1], "edges": []})
+        assert str(info.value) == "quiver document: vertices must be strings"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "cyclic", "n": 0},
+         "group document: cyclic group order must be between 1 and 120"),
+        ({"kind": "table", "elements": [str(i) for i in range(121)], "identity": "0",
+          "table": []},
+         "group document: order above 120 is out of scope"),
+        ({"kind": "dihedral", "n": 4}, "group document: unknown kind 'dihedral'"),
+    ], ids=["cyclic-zero", "table-too-large", "unknown-kind"])
+    def test_group_document(self, doc, message):
+        for _ in range(2):  # a refused document is refused again
+            with pytest.raises(qio.ParseError) as info:
+                qio.parse_group_document(doc)
+            assert str(info.value) == message
+
+
+class TestSharedGroups:
+    @pytest.mark.parametrize("doc, make", [
+        ({"kind": "cyclic", "n": 6}, quiverskew.make_cyclic),
+        ({"kind": "symmetric", "n": 4}, quiverskew.make_symmetric),
+    ], ids=["cyclic", "symmetric"])
+    def test_named_groups_are_built_once(self, doc, make):
+        group = qio.parse_group_document(doc)
+        assert qio.parse_group_document(dict(doc)) is group is make(doc["n"])
+
+    def test_table_documents_give_distinct_groups(self):
+        first, second = (qio.parse_group_document(TABLE_Z2) for _ in range(2))
+        assert first is not second
+        assert first.table == second.table
 
 
 def test_invariants_parses_the_cocycle_on_a_cyclic_quiver(tmp_path, loop_file):

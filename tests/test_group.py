@@ -108,6 +108,18 @@ class TestValidateGroup:
         g = FiniteGroup(["a", "b"], {"a": {"a": "a", "b": "b"}, "b": {"a": "b", "b": "zz"}}, "a")
         assert any("not a permutation" in r for r in validate_group(g))
 
+    Z2 = {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "0"}}
+
+    @pytest.mark.parametrize("elements, table, identity, report", [
+        (["0", "1", "0"], Z2, "0", ["duplicate element ids"]),
+        (["0", "1"], Z2, "e", ["identity not among elements"]),
+        (["0", "1"], {"0": {"0": "0", "1": "1", "2": "1"}, "1": Z2["1"]}, "0",
+         ["table row for '0' is not total"]),
+        (["0", "1"], Z2, "1", ["identity law fails at '0'", "identity law fails at '1'"]),
+    ], ids=["duplicate", "no-identity", "not-total", "identity-law"])
+    def test_report(self, elements, table, identity, report):
+        assert validate_group(FiniteGroup(elements, table, identity)) == report
+
 
 def swap_action_on_loops(w1, w2, swap=None):
     """Z/2 swapping two disjoint loops with the given weights; ``swap``
@@ -405,8 +417,8 @@ def test_degenerate_quivers_match_reference(name, n):
 def test_large_translation_action(n, m, group):
     q, rng = random_base(n, m, 1)
     kappa = random_cocycle(rng, q, group)
-    skew, act = skew_product(q, kappa), translation_action(q, kappa)
     with deadline(2):
+        skew, act = skew_product(q, kappa), translation_action(q, kappa)
         assert validate_action(skew, act) == []
         assert is_free(skew, act)
         v_orbits, e_orbits = orbits(skew, act)

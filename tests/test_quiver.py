@@ -49,6 +49,10 @@ class TestValidate:
         report = validate_quiver(q)
         assert any("dangling endpoint" in r for r in report)
 
+    def test_dangling_range(self):
+        q = mk(["v"], [("e", "v", "x", 1)])
+        assert validate_quiver(q) == ["dangling endpoint: edge 'e' has rng 'x'"]
+
     def test_nonpositive_weight(self):
         q = FiniteQuiver(["v"], [Edge("e", "v", "v", Fraction(0))])
         report = validate_quiver(q)
@@ -77,6 +81,11 @@ class TestCheckMorphism:
         q = mk(["v", "w"], [("e", "v", "w", 1)])
         m = QuiverMorphism({"v": "w", "w": "v"}, {"e": "e"})
         assert not check_morphism(q, q, m)
+
+    def test_range_mismatch(self):
+        q = mk(["v", "w"], [("e", "v", "w", 1), ("l", "v", "v", 1)])
+        m = QuiverMorphism({"v": "v", "w": "w"}, {"e": "l", "l": "l"})
+        assert check_morphism(q, q, m) is False
 
     def test_collapse_two_cycle_to_loop(self):
         two = mk(["v", "w"], [("a", "v", "w", 1), ("b", "w", "v", 1)])

@@ -9,6 +9,8 @@ from quiverskew import (
     Edge,
     FiniteQuiver,
     QuiverAction,
+    QuiverIso,
+    QuiverMorphism,
     Section,
     check_iso,
     check_morphism,
@@ -28,8 +30,9 @@ from quiverskew import (
     translation_action,
     validate_action,
 )
-from quiverskew.randgen import random_cocycle, random_weight
-from quiverskew.skew import SkewError
+from quiverskew import io as qio
+from quiverskew.randgen import random_cocycle, random_quiver, random_weight
+from quiverskew.skew import SkewError, _first_factor_iso
 
 from conftest import mk, trivial_action
 
@@ -77,6 +80,11 @@ class TestSkewProduct:
     def test_missing_cocycle_value(self):
         with pytest.raises(SkewError):
             skew_product(loop_quiver(), Cocycle(make_cyclic(2), {}))
+
+    def test_cocycle_value_that_is_not_an_element(self):
+        with pytest.raises(SkewError) as info:
+            skew_product(loop_quiver(), Cocycle(make_cyclic(2), {"e": "7"}))
+        assert str(info.value) == "cocycle value for edge 'e' is not a group element"
 
     def test_edgeless_quiver(self):
         q = mk(["v", "w"], [])
@@ -208,6 +216,27 @@ class TestLift:
         with pytest.raises(SkewError, match="^orbit mismatch: edge 'e@1' has no quotient edge$"):
             lift_system(quot, skew, act, proj.emap)
 
+    def test_rejects_non_free(self):
+        q = loop_quiver()
+        with pytest.raises(SkewError) as info:
+            lift_system(q, q, trivial_action(q, make_cyclic(2)), {"e": "e"})
+        assert str(info.value) == "lift requires a free action"
+
+    def test_orbit_mapped_to_an_unknown_quotient_edge(self):
+        q, a = swap_loops_action()
+        quot, _ = quotient_quiver(q, a)
+        with pytest.raises(SkewError) as info:
+            lift_system(quot, q, a, {"a": "zz", "b": "zz"})
+        assert str(info.value) == "orbit mismatch: unknown quotient edge 'zz'"
+
+    def test_quotient_edge_not_covered(self):
+        q, a = swap_loops_action()
+        quot, proj = quotient_quiver(q, a)
+        bigger = FiniteQuiver(quot.vertices, [*quot.edges, Edge("extra", "v", "v", 1)])
+        with pytest.raises(SkewError) as info:
+            lift_system(bigger, q, a, proj.emap)
+        assert str(info.value) == "orbit mismatch: quotient edges not covered by the orbit map"
+
     def test_table_that_is_not_a_permutation(self):
         q, a = swap_loops_action()
         quot, proj = quotient_quiver(q, a)
@@ -284,8 +313,15 @@ class TestGrossTucker:
 
     def test_rejects_bad_section(self):
         q, a = swap_loops_action()
-        with pytest.raises(SkewError):
+        with pytest.raises(SkewError) as info:
             gross_tucker_reconstruct(q, a, Section({"v": "nope"}))
+        assert str(info.value) == "section point 'nope' is not in orbit 'v'"
+
+    def test_rejects_section_on_other_orbits(self):
+        q, a = swap_loops_action()
+        with pytest.raises(SkewError) as info:
+            gross_tucker_reconstruct(q, a, Section({"w": "w"}))
+        assert str(info.value) == "section does not cover exactly the vertex orbits"
 
     def test_law_check_and_orbits_run_once_per_action(self, monkeypatch):
         from quiverskew import group as group_mod, skew as skew_mod
@@ -365,3 +401,109 @@ class TestCheckSkewOrbit:
         q = mk(["v", "w"], [("a", "v", "w", "2/7"), ("b", "w", "v", 1)])
         g = make_symmetric(3)
         check_skew_orbit(q, Cocycle(g, {"a": "231", "b": "321"}))
+
+
+# The string-formatting builders that ``skew._copies`` replaced, kept as
+# references: each names every copy (x, h) afresh with the pair-id formatters.
+def ref_pair_ids(q):
+    return (skew_vertex_id, q.vertices), (skew_edge_id, [e.id for e in q.edges])
+
+
+def ref_skew_product(q, kappa):
+    G = kappa.group
+    elements = set(G.elements)
+    for e in q.edges:
+        if kappa.value(e.id) not in elements:
+            raise SkewError(f"cocycle value for edge {e.id!r} is not a group element")
+    vertices = [skew_vertex_id(v, g) for v in q.vertices for g in G.elements]
+    edges = []
+    for e in q.edges:
+        k = kappa.value(e.id)
+        for g in G.elements:
+            edges.append(Edge(
+                skew_edge_id(e.id, g),
+                skew_vertex_id(e.src, g),
+                skew_vertex_id(e.rng, G.mul(k, g)),
+                e.weight,
+            ))
+    return FiniteQuiver(vertices, edges)
+
+
+def ref_translation_action(q, kappa):
+    G = kappa.group
+    vperm, eperm = (
+        {g: {pair(x, h): pair(x, G.mul(h, g)) for x in items for h in G.elements}
+         for g in G.elements}
+        for pair, items in ref_pair_ids(q)
+    )
+    return QuiverAction(G, vperm, eperm)
+
+
+def ref_first_factor_iso(q, G, quot):
+    maps = []
+    for (pair, items), reps in zip(ref_pair_ids(q), (quot.vertices, [e.id for e in quot.edges])):
+        first = {pair(x, g): x for x in items for g in G.elements}
+        maps.append({o: first[o] for o in reps})
+    return QuiverIso(QuiverMorphism(*maps))
+
+
+def reversed_s3():
+    """S3 as a ``table`` document whose elements are listed with the identity last."""
+    S3 = make_symmetric(3)
+    els = S3.elements[::-1]
+    name = {g: f"t{i}" for i, g in enumerate(els)}
+    G = qio.parse_group_document({
+        "kind": "table", "elements": [name[g] for g in els], "identity": name[S3.identity],
+        "table": [[name[S3.mul(g, h)] for h in els] for g in els]})
+    assert G.elements[0] != G.identity == G.elements[-1]
+    return G
+
+
+COPY_GROUPS = {"Z1": make_cyclic(1), "Z2": make_cyclic(2), "Z6": make_cyclic(6),
+               "S3": make_symmetric(3), "S3-table": reversed_s3()}
+COPY_DEGENERATE = {
+    "empty": mk([], []),
+    "edgeless": mk(["u", "v", "w"], []),
+    "vertex": mk(["v"], []),
+    "loop": mk(["v"], [("e", "v", "v", "2/3")]),
+}
+
+
+def assert_copies_match_reference(q, kappa):
+    """Skew product, translation action, first-factor map and witness ids
+    equal the references': ids, order, endpoints, weights and every table."""
+    G = kappa.group
+    skew, ref = skew_product(q, kappa), ref_skew_product(q, kappa)
+    assert skew.vertices == ref.vertices
+    assert [(e.id, e.src, e.rng, e.weight) for e in skew.edges] == [
+        (e.id, e.src, e.rng, e.weight) for e in ref.edges]
+    act, ref_act = translation_action(q, kappa), ref_translation_action(q, kappa)
+    for new, old in ((act.vperm, ref_act.vperm), (act.eperm, ref_act.eperm)):
+        assert list(new) == list(old) == list(G.elements)
+        for g in G.elements:
+            assert list(new[g].items()) == list(old[g].items())
+    quot, _ = quotient_quiver(skew, act)
+    got, want = _first_factor_iso(q, G, quot).forward, ref_first_factor_iso(q, G, quot).forward
+    assert list(got.vmap.items()) == list(want.vmap.items())
+    assert list(got.emap.items()) == list(want.emap.items())
+    # The Gross-Tucker witness names the copies of its quotient's skew product.
+    witness = gross_tucker_reconstruct(skew, act)
+    assert list(witness.iso.forward.vmap.items()) == [
+        (v, skew_vertex_id(*p)) for v, p in witness.phi.items()]
+    assert list(witness.iso.forward.emap.items()) == [
+        (e, skew_edge_id(*p)) for e, p in witness.sigma.items()]
+
+
+@pytest.mark.parametrize("group", COPY_GROUPS)
+@pytest.mark.parametrize("name", COPY_DEGENERATE)
+def test_degenerate_copies_match_reference(name, group):
+    q, G = COPY_DEGENERATE[name], COPY_GROUPS[group]
+    assert_copies_match_reference(q, random_cocycle(random.Random(name), q, G))
+
+
+def test_copies_match_reference_on_random_draws():
+    rng = random.Random("copies")
+    groups = list(COPY_GROUPS.values())
+    for _ in range(240):
+        q = random_quiver(rng, 5, 8)
+        assert_copies_match_reference(q, random_cocycle(rng, q, rng.choice(groups)))
