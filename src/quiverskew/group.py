@@ -7,12 +7,14 @@ group and action laws are checked against a generating set S of the group
 validation is O(|G|.|S|.(|V|+|E|)) for an action and O(|G|^2.|S|) for a
 Cayley table.
 
-An action's tables are read-only copies made when it is built, so what is
-derived from an action and a quiver cannot go stale: ``validate_action``,
-``is_free``, ``orbits`` and the quotient in ``skew`` each compute once per
-(action, quiver object) pair, from an index view of the action built once
-per pair in O(|G|.(|V|+|E|)): per element, the tuple of the image indices
-of q's vertices and of its edges.  Each law compares whole tuples.
+An action's tables are read-only copies made when it is built, so what an
+action determines on a quiver cannot go stale.  All of it is one private
+object per (action, quiver object) pair, built once: the index view (per
+element, the tuple of the image indices of q's vertices and of its edges,
+built in O(|G|.(|V|+|E|))), the validation report, freeness, the orbits and,
+for a valid free action, the quotient and its projection.  ``validate_action``,
+``is_free``, ``orbits`` and the quotient and Gross-Tucker functions in
+``skew`` all read it.  Each law compares whole tuples.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from functools import cache, cached_property
 from operator import itemgetter, ne
 from types import MappingProxyType
 from typing import NamedTuple
+
+from .quiver import Edge, FiniteQuiver, QuiverMorphism, check_morphism
 
 MAX_ORDER = 120
 
@@ -40,14 +44,17 @@ class FiniteGroup:
         self.elements = tuple(elements)
         self.table = {g: dict(row) for g, row in table.items()}
         self.identity = identity
-        self._inv = {g: h for g in self.elements for h in self.elements
-                     if self.table[g][h] == identity}
 
     def mul(self, g, h):
         return self.table[g][h]
 
     def inv(self, g):
-        return self._inv[g]
+        return self._inverses[g]
+
+    @cached_property
+    def _inverses(self):  # on first use: validate_group reports a table that is not total
+        return {g: h for g in self.elements for h in self.elements
+                if self.table[g][h] == self.identity}
 
     @property
     def order(self):
@@ -163,10 +170,10 @@ class QuiverAction:
 
     The tables are read-only copies of the mappings passed in: assigning to
     ``a.vperm[g][v]`` raises ``TypeError``, and later changes to the caller's
-    dicts do not reach the action.  The validation report, freeness and
-    orbits on a quiver are memoised per quiver object (by identity; the memo
-    holds a reference to the quiver), so each is computed once, from the
-    action's index view on that quiver (see the module docstring).
+    dicts do not reach the action.  What the action determines on a quiver
+    (validation report, freeness, orbits, quotient; see the module
+    docstring) is built once per quiver object and kept in a memo keyed by
+    the quiver's identity, which holds a reference to the quiver.
     """
 
     group: FiniteGroup
@@ -183,14 +190,6 @@ class QuiverAction:
 
     def act_e(self, eid, g):
         return self.eperm[g][eid]
-
-    def _derived(self, q, compute):
-        """compute(q, self), computed on the first call for this quiver
-        object and taken from the memo after that."""
-        facts = self._memo.setdefault(id(q), (q, {}))[1]
-        if compute not in facts:
-            facts[compute] = compute(q, self)
-        return facts[compute]
 
 
 def _getter(keys):
@@ -220,12 +219,19 @@ class _Side(NamedTuple):
         return parts
 
 
-class _IndexView:
-    """The action a on the quiver q on indices, built by ``a._derived(q, _IndexView)``.
-    ``error`` names the first table (g outer, vertices first) that is not a permutation of
-    q's items; src, rng and weight give each edge's source, range and weight class."""
+class _Facts:
+    """All that the action a determines on the quiver q, built once per pair by ``_facts``.
+
+    The index view: ``vertices`` and ``edges`` are a ``_Side`` each; src, rng and weight
+    give each edge's source, range and weight class.  ``error`` names the first table
+    (g outer, vertices first) that is not a permutation of q's items; then ``report`` is
+    [error] and the rest is None.  Else ``report`` is validate_action's, ``free`` is
+    freeness on vertices, ``orbits`` the vertex and edge orbits, and ``quotient`` and
+    ``proj`` the orbit quiver and the projection onto it (None unless valid and free).
+    """
 
     def __init__(self, q, a):
+        self.quiver = q  # the memo is keyed by id(q): holding q keeps that id from being reused
         self.vertices, self.edges = sides = [
             _Side(kind, items, {x: i for i, x in enumerate(items)}, {})
             for kind, items in (("vertex", q.vertices), ("edge", tuple(e.id for e in q.edges)))]
@@ -234,7 +240,7 @@ class _IndexView:
         self.rng = tuple(vpos[e.rng] for e in q.edges)
         self.weight = tuple(classes.setdefault(e.weight.as_integer_ratio(), len(classes))
                             for e in q.edges)
-        self.error = None
+        self.error = self.free = self.orbits = self.quotient = self.proj = None
         for g in a.group.elements:
             for side, perms in zip(sides, (a.vperm, a.eperm)):
                 p, n = perms.get(g), len(side.pos)
@@ -245,17 +251,62 @@ class _IndexView:
                 if t is None or len(p) != n or len(set(t)) != n:
                     self.error = (f"{side.kind} permutation for {g!r} is not a permutation of the "
                                   + ("vertices" if side.kind == "vertex" else "edges"))
+                    self.report = [self.error]
                     return
                 side.tables[g] = t
+        self.report = self._laws(q, a.group)
+        self.free = self.vertices.fixed_point_free(a.group.identity)
+        self.orbits = self.vertices.orbits(), self.edges.orbits()
+        if self.report or not self.free:
+            return
+        v_rep, e_rep = ({x: orb[0] for orb in parts for x in orb} for parts in self.orbits)
+        edges = []
+        for orb in self.orbits[1]:
+            rep = q.edge(orb[0])
+            # Equivariance of the weights makes the descent well defined.
+            assert len({self.weight[self.edges.pos[eid]] for eid in orb}) == 1
+            edges.append(Edge(orb[0], v_rep[rep.src], v_rep[rep.rng], rep.weight))
+        self.quotient = FiniteQuiver([orb[0] for orb in self.orbits[0]], edges)
+        self.proj = QuiverMorphism(v_rep, e_rep)
+        assert check_morphism(q, self.quotient, self.proj)
+
+    def _laws(self, q, G):
+        """validate_action's report on the tables; edges are named one by one only on failure."""
+        report = []
+        sides = self.vertices, self.edges
+        if any(side.tables[G.identity] != tuple(range(len(side.items))) for side in sides):
+            report.append("identity element does not act as the identity")
+        for g in G.elements:
+            for s in G.generators:
+                gs = G.mul(g, s)
+                for side in sides:
+                    t = side.tables  # _getter(t[g])(t[s])[x] == t[s][t[g][x]], (x.g).s
+                    if _getter(t[g])(t[s]) != t[gs]:
+                        report.append(f"{side.kind} homomorphism law fails at ({g!r},{s!r})")
+                        break
+        src, rng, weight = self.src, self.rng, self.weight
+        of_src, of_rng = _getter(src), _getter(rng)
+        for s in G.generators:
+            vs, es = self.vertices.tables[s], self.edges.tables[s]
+            at_image = _getter(es)
+            if (at_image(src), at_image(rng), at_image(weight)) == (of_src(vs), of_rng(vs), weight):
+                continue
+            for i, (e, j) in enumerate(zip(q.edges, es)):
+                if src[j] != vs[src[i]]:
+                    report.append(f"source commuting fails for edge {e.id!r} under {s!r}")
+                if rng[j] != vs[rng[i]]:
+                    report.append(f"range commuting fails for edge {e.id!r} under {s!r}")
+                if weight[j] != weight[i]:
+                    report.append(f"weight equivariance fails for edge {e.id!r} under {s!r}")
+        return report
 
 
-def _view(q, a, error=GroupError):
-    """a's memoised index view on q; raises ``error`` if a table is not a
-    permutation of q's items."""
-    view = a._derived(q, _IndexView)
-    if view.error:
-        raise error(f"invalid action: {view.error}")
-    return view
+def _facts(q, a):
+    """The ``_Facts`` of a on q: built on the first call for this quiver object,
+    taken from a's memo after that."""
+    if id(q) not in a._memo:
+        a._memo[id(q)] = _Facts(q, a)
+    return a._memo[id(q)]
 
 
 def validate_action(q, a):
@@ -269,56 +320,25 @@ def validate_action(q, a):
     length of h as a word in S, and the commuting and weight laws then pass
     from S to products of its members.
     """
-    return list(a._derived(q, _action_report))
+    return list(_facts(q, a).report)
 
 
-def _action_report(q, a):
-    """validate_action's report, computed afresh; edges are named one by one only on failure."""
-    view = a._derived(q, _IndexView)
-    if view.error:
-        return [view.error]
-    report = []
-    G = a.group
-    sides = view.vertices, view.edges
-    if any(side.tables[G.identity] != tuple(range(len(side.items))) for side in sides):
-        report.append("identity element does not act as the identity")
-    for g in G.elements:
-        for s in G.generators:
-            gs = G.mul(g, s)
-            for side in sides:
-                t = side.tables  # _getter(t[g])(t[s])[x] == t[s][t[g][x]], (x.g).s
-                if _getter(t[g])(t[s]) != t[gs]:
-                    report.append(f"{side.kind} homomorphism law fails at ({g!r},{s!r})")
-                    break
-    src, rng, weight = view.src, view.rng, view.weight
-    of_src, of_rng = _getter(src), _getter(rng)
-    for s in G.generators:
-        vs, es = view.vertices.tables[s], view.edges.tables[s]
-        at_image = _getter(es)
-        if (at_image(src), at_image(rng), at_image(weight)) == (of_src(vs), of_rng(vs), weight):
-            continue
-        for i, (e, j) in enumerate(zip(q.edges, es)):
-            if src[j] != vs[src[i]]:
-                report.append(f"source commuting fails for edge {e.id!r} under {s!r}")
-            if rng[j] != vs[rng[i]]:
-                report.append(f"range commuting fails for edge {e.id!r} under {s!r}")
-            if weight[j] != weight[i]:
-                report.append(f"weight equivariance fails for edge {e.id!r} under {s!r}")
-    return report
+def _permuting(q, a):
+    """The ``_Facts`` of a on q; raises GroupError if a table is not a permutation of q's items."""
+    facts = _facts(q, a)
+    if facts.error:
+        raise GroupError(f"invalid action: {facts.error}")
+    return facts
 
 
 def is_free(q, a):
     """True iff no non-identity element fixes a vertex; raises GroupError as ``orbits`` does."""
-    return a._derived(q, _is_free)
-
-
-def _is_free(q, a):
-    return _view(q, a).vertices.fixed_point_free(a.group.identity)
+    return _permuting(q, a).free
 
 
 def edge_free(q, a):
     """Freeness on edges; implied by vertex freeness, asserted as a property."""
-    return _view(q, a).edges.fixed_point_free(a.group.identity)
+    return _permuting(q, a).edges.fixed_point_free(a.group.identity)
 
 
 def orbits(q, a):
@@ -329,11 +349,5 @@ def orbits(q, a):
     representative's input position.  The lists are fresh on every call.
     Raises GroupError if a table is not a permutation of q's items.
     """
-    v_orbits, e_orbits = a._derived(q, _orbits)
+    v_orbits, e_orbits = _permuting(q, a).orbits
     return list(v_orbits), list(e_orbits)
-
-
-def _orbits(q, a):
-    """orbits, computed afresh."""
-    view = _view(q, a)
-    return view.vertices.orbits(), view.edges.orbits()

@@ -9,6 +9,11 @@ action arises this way once a section of the vertex orbits is chosen.
 One builder, ``_copies``, names the copies (x, h) ``x@h``, vertices then
 edges in input order and h in G.elements order, for the skew product, its
 translation action, the first-factor map and the Gross-Tucker witness.
+``quotient_quiver``, ``lift_system`` and ``gross_tucker_reconstruct`` pass
+one gate, ``_free``: the action must be valid (else SkewError ``invalid
+action: ...``) and free (else ``... requires a free action``).  Past it they
+read the quotient, orbits and index view that ``group`` builds once per
+(action, quiver object) pair.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from .quiver import (
     QuiverIso,
     QuiverMorphism,
     check_iso,
-    check_morphism,
 )
-from .group import QuiverAction, _getter, _view, is_free, orbits, validate_action
+from .group import QuiverAction, _facts, _getter, orbits
 
 
 class SkewError(ValueError):
@@ -88,15 +92,15 @@ def translation_action(q, kappa):
     return QuiverAction(G, vperm, eperm)
 
 
-def _free_quotient(q, a, what):
-    """The memoised quotient and projection of a valid free action; raises
-    SkewError if the action is invalid, or not free (naming ``what``)."""
-    bad = validate_action(q, a)
-    if bad:
-        raise SkewError(f"invalid action: {bad[0]}")
-    if not is_free(q, a):
+def _free(q, a, what):
+    """What the action a determines on q (``group._Facts``), for a valid free
+    action; raises SkewError if it is invalid, or not free (naming ``what``)."""
+    facts = _facts(q, a)
+    if facts.report:
+        raise SkewError(f"invalid action: {facts.report[0]}")
+    if not facts.free:
         raise SkewError(f"{what} requires a free action")
-    return a._derived(q, _quotient)
+    return facts
 
 
 def quotient_quiver(q, a):
@@ -108,25 +112,8 @@ def quotient_quiver(q, a):
     per (action, quiver object) pair; each call returns fresh projection
     maps, so a caller that mutates them cannot reach later calls.
     """
-    quot, proj = _free_quotient(q, a, "quotient")
-    return quot, QuiverMorphism(dict(proj.vmap), dict(proj.emap))
-
-
-def _quotient(q, a):
-    """quotient_quiver's quotient and projection, computed afresh."""
-    v_orbits, e_orbits = orbits(q, a)
-    v_rep, e_rep = ({x: orb[0] for orb in parts for x in orb} for parts in (v_orbits, e_orbits))
-    view = _view(q, a, SkewError)
-    edges = []
-    for orb in e_orbits:
-        rep = q.edge(orb[0])
-        # Equivariance of the weights makes the descent well defined.
-        assert len({view.weight[view.edges.pos[eid]] for eid in orb}) == 1
-        edges.append(Edge(orb[0], v_rep[rep.src], v_rep[rep.rng], rep.weight))
-    quot = FiniteQuiver([orb[0] for orb in v_orbits], edges)
-    proj = QuiverMorphism(v_rep, e_rep)
-    assert check_morphism(q, quot, proj)
-    return quot, proj
+    facts = _free(q, a, "quotient")
+    return facts.quotient, QuiverMorphism(dict(facts.proj.vmap), dict(facts.proj.emap))
 
 
 def lift_system(quot, total, a, edge_orbit_map):
@@ -134,18 +121,15 @@ def lift_system(quot, total, a, edge_orbit_map):
 
     ``edge_orbit_map`` sends each edge of ``total`` to a quotient edge id;
     it must be constant on orbits and onto the quotient's edges, and the
-    action must be free.  Returns the lifted weight assignment
+    action must be valid and free.  Returns the lifted weight assignment
     {edge id -> Fraction}; lifted weights are constant on orbits, hence
     equivariant, and descend back to the quotient weights exactly.
     """
-    _view(total, a, SkewError)
-    if not is_free(total, a):
-        raise SkewError("lift requires a free action")
+    _, e_orbits = _free(total, a, "lift").orbits
     quot_weights = {e.id: e.weight for e in quot.edges}
     for e in total.edges:
         if e.id not in edge_orbit_map:
             raise SkewError(f"orbit mismatch: edge {e.id!r} has no quotient edge")
-    _, e_orbits = orbits(total, a)
     for orb in e_orbits:
         targets = {edge_orbit_map[eid] for eid in orb}
         if len(targets) != 1:
@@ -192,7 +176,8 @@ def gross_tucker_reconstruct(q, a, section=None):
     lies on the section.  The returned witness is verified exhaustively.
     Its quotient is the one quotient_quiver builds once per action and quiver.
     """
-    quot, proj = _free_quotient(q, a, "reconstruction")
+    facts = _free(q, a, "reconstruction")
+    quot, proj = facts.quotient, facts.proj
     if section is None:
         section = default_section(q, a)
     rep = section.representative
@@ -202,16 +187,15 @@ def gross_tucker_reconstruct(q, a, section=None):
         if proj.vmap.get(v) != o:
             raise SkewError(f"section point {v!r} is not in orbit {o!r}")
     G = a.group
-    view = _view(q, a, SkewError)
-    V, E = view.vertices, view.edges
+    V, E = facts.vertices, facts.edges
     # g_v: the unique translator from the section point to v (freeness).
     g_of = {t[b]: g for b in map(V.pos.__getitem__, rep.values()) for g, t in V.tables.items()}
     v_orb, v_g = _getter(V.items)(proj.vmap), _getter(range(len(V.items)))(g_of)
-    e_orb, e_g = _getter(E.items)(proj.emap), _getter(view.src)(g_of)
+    e_orb, e_g = _getter(E.items)(proj.emap), _getter(facts.src)(g_of)
     phi = dict(zip(V.items, zip(v_orb, v_g)))
     sigma = dict(zip(E.items, zip(e_orb, e_g)))
 
-    kmap = {o: g_of[r] for o, g, r in zip(e_orb, e_g, view.rng) if g == G.identity}
+    kmap = {o: g_of[r] for o, g, r in zip(e_orb, e_g, facts.rng) if g == G.identity}
     kappa = Cocycle(G, {o.id: kmap[o.id] for o in quot.edges})
 
     skew = skew_product(quot, kappa)

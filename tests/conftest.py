@@ -17,12 +17,26 @@ from quiverskew import (
     skew_product,
     translation_action,
 )
+from quiverskew import group as group_mod
 from quiverskew.randgen import random_cocycle
 
 
 # Cayley table of a 5-element loop: identity 0 and a Latin square, but not
 # associative: (1*1)*2 = 2 while 1*(1*2) = 4.
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def count_facts(monkeypatch):
+    """Record every ``group._Facts`` built from now on: the list they are appended to."""
+    built = []
+
+    class Counted(group_mod._Facts):
+        def __init__(self, q, a):
+            super().__init__(q, a)
+            built.append(self)
+
+    monkeypatch.setattr(group_mod, "_Facts", Counted)
+    return built
 
 
 def mk(vertices, edges):

@@ -19,7 +19,7 @@ from quiverskew import verify as verify_mod
 from quiverskew.cli import main
 from quiverskew import io as qio
 
-from conftest import LOOP5, chain, deadline, mk
+from conftest import LOOP5, chain, count_facts, deadline, mk
 
 
 LOOP_DOC = {
@@ -549,22 +549,12 @@ def test_golden_stdout(tmp_path, capsys, argv, code, expected):
 
 
 def test_run_suite_validates_and_takes_the_quotient_once(monkeypatch):
-    from quiverskew import group as group_mod, skew as skew_mod
-
-    calls = {"_action_report": 0, "_quotient": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for mod, name in ((group_mod, "_action_report"), (skew_mod, "_quotient")):
-        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    built = count_facts(monkeypatch)
     q = qio.parse_quiver_document(S3_CYCLIC[0])
     kappa = qio.parse_cocycle_document(S3_CYCLIC[1], q)
     assert all(ok for _, ok, _ in verify_mod.run_suite(q, kappa))
-    assert calls == {"_action_report": 1, "_quotient": 1}
+    # One validation and one quotient, for the skew product and its translation action.
+    assert len(built) == 1 and built[0].report == [] and built[0].quotient is not None
 
 
 def test_gross_tucker_roundtrip_fails_when_no_section_is_tried():

@@ -116,7 +116,10 @@ class TestValidateGroup:
         (["0", "1"], {"0": {"0": "0", "1": "1", "2": "1"}, "1": Z2["1"]}, "0",
          ["table row for '0' is not total"]),
         (["0", "1"], Z2, "1", ["identity law fails at '0'", "identity law fails at '1'"]),
-    ], ids=["duplicate", "no-identity", "not-total", "identity-law"])
+        (["a", "b"], {"a": {"a": "a"}}, "a", ["table row for 'a' is not total"]),
+        (["a", "b"], {"a": {"a": "a", "b": "b"}}, "a", ["table row for 'b' is not total"]),
+    ], ids=["duplicate", "no-identity", "not-total", "identity-law", "missing-entry",
+            "missing-row"])
     def test_report(self, elements, table, identity, report):
         assert validate_group(FiniteGroup(elements, table, identity)) == report
 

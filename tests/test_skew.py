@@ -34,7 +34,7 @@ from quiverskew import io as qio
 from quiverskew.randgen import random_cocycle, random_quiver, random_weight
 from quiverskew.skew import SkewError, _first_factor_iso
 
-from conftest import mk, trivial_action
+from conftest import count_facts, mk, trivial_action
 
 
 def loop_quiver():
@@ -222,6 +222,22 @@ class TestLift:
             lift_system(q, q, trivial_action(q, make_cyclic(2)), {"e": "e"})
         assert str(info.value) == "lift requires a free action"
 
+    def test_rejects_an_action_that_breaks_the_group_laws(self):
+        # Both non-identity elements of Z/3 rotate a -> b -> c: no fixed points,
+        # but not a homomorphism.  lift_system passes the gate quotient_quiver does.
+        q = mk(["a", "b", "c"], [(f"e{x}", x, x, 1) for x in "abc"])
+        rot = {"a": "b", "b": "c", "c": "a"}
+        erot = {f"e{x}": f"e{y}" for x, y in rot.items()}
+        act = QuiverAction(make_cyclic(3), {"0": {x: x for x in "abc"}, "1": rot, "2": rot},
+                           {"0": {e: e for e in erot}, "1": erot, "2": erot})
+        quot = mk(["a"], [("ea", "a", "a", 1)])
+        message = "invalid action: vertex homomorphism law fails at ('1','1')"
+        for call in (lambda: quotient_quiver(q, act),
+                     lambda: lift_system(quot, q, act, dict.fromkeys(erot, "ea"))):
+            with pytest.raises(SkewError) as info:
+                call()
+            assert str(info.value) == message
+
     def test_orbit_mapped_to_an_unknown_quotient_edge(self):
         q, a = swap_loops_action()
         quot, _ = quotient_quiver(q, a)
@@ -324,27 +340,17 @@ class TestGrossTucker:
         assert str(info.value) == "section does not cover exactly the vertex orbits"
 
     def test_law_check_and_orbits_run_once_per_action(self, monkeypatch):
-        from quiverskew import group as group_mod, skew as skew_mod
-
-        calls = {"_action_report": 0, "_orbits": 0, "_quotient": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for mod, name in ((group_mod, "_action_report"), (group_mod, "_orbits"),
-                          (skew_mod, "_quotient")):
-            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        built = count_facts(monkeypatch)
         q = two_loop_quiver()
         kappa = Cocycle(make_symmetric(3), {"e1": "213", "e2": "231"})
         skew = skew_product(q, kappa)
         act = translation_action(q, kappa)
         assert validate_action(skew, act) == []
-        quotient_quiver(skew, act)
+        quot, proj = quotient_quiver(skew, act)
         gross_tucker_reconstruct(skew, act, default_section(skew, act))
-        assert calls == {"_action_report": 1, "_orbits": 1, "_quotient": 1}
+        lift_system(quot, skew, act, proj.emap)
+        # One validation and one quotient for the one (action, quiver) pair.
+        assert [(f.quiver, f.report, f.quotient) for f in built] == [(skew, [], quot)]
 
     def test_mutating_a_returned_projection_reaches_nothing(self):
         q = two_loop_quiver()
