@@ -53,7 +53,7 @@ def _require(obj, key, typ, what):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{what}: missing field {key!r}")
     val = obj[key]
-    if not isinstance(val, typ):
+    if not isinstance(val, typ) or type(val) is bool:  # JSON true passes isinstance(val, int)
         raise ParseError(f"{what}: field {key!r} has wrong type")
     return val
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 
-from .quiver import FiniteQuiver, Edge, check_iso
+from .quiver import check_iso
 from .group import edge_free, is_free, orbits, validate_action
 from .skew import (
     Section,
@@ -54,9 +54,7 @@ def _mutate_one_weight(q):
     if not q.edges:
         return q
     first = q.edges[0]
-    edges = [Edge(first.id, first.src, first.rng, first.weight + 1)]
-    edges.extend(q.edges[1:])
-    return FiniteQuiver(q.vertices, edges)
+    return q.with_weights({e.id: e.weight for e in q.edges} | {first.id: first.weight + 1})
 
 
 def all_sections(q, a, budget):

@@ -681,7 +681,10 @@ class TestParseMessages:
           "table": []},
          "group document: order above 120 is out of scope"),
         ({"kind": "dihedral", "n": 4}, "group document: unknown kind 'dihedral'"),
-    ], ids=["cyclic-zero", "table-too-large", "unknown-kind"])
+        ({"kind": "cyclic", "n": True}, "group document: field 'n' has wrong type"),
+        ({"kind": "symmetric", "n": True}, "group document: field 'n' has wrong type"),
+    ], ids=["cyclic-zero", "table-too-large", "unknown-kind", "cyclic-boolean",
+            "symmetric-boolean"])
     def test_group_document(self, doc, message):
         for _ in range(2):  # a refused document is refused again
             with pytest.raises(qio.ParseError) as info:

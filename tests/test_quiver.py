@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,21 +24,28 @@ from quiverskew import (
     skew_product,
     validate_quiver,
 )
-from quiverskew.quiver import QuiverError
+from quiverskew.quiver import QuiverError, _bijection
 from quiverskew.randgen import random_cocycle
 
 from conftest import brute_iso_exists, deadline, mk, random_base
 
 
-def relabelled(q, rng):
-    """q with fresh vertex and edge ids, both listed in a shuffled order."""
+def relabelling(q, rng):
+    """q with fresh vertex and edge ids, both listed in a shuffled order, and
+    the vertex and edge maps from q's ids to the fresh ones."""
     vs, es = list(q.vertices), list(q.edges)
     rng.shuffle(vs)
     rng.shuffle(es)
-    name = {v: f"x{i}" for i, v in enumerate(vs)}
-    return FiniteQuiver([name[v] for v in vs], [
-        Edge(f"f{i}", name[e.src], name[e.rng], e.weight) for i, e in enumerate(es)
-    ])
+    vmap = {v: f"x{i}" for i, v in enumerate(vs)}
+    emap = {e.id: f"f{i}" for i, e in enumerate(es)}
+    return FiniteQuiver([vmap[v] for v in vs], [
+        Edge(emap[e.id], vmap[e.src], vmap[e.rng], e.weight) for e in es
+    ]), vmap, emap
+
+
+def relabelled(q, rng):
+    """q with fresh vertex and edge ids, both listed in a shuffled order."""
+    return relabelling(q, rng)[0]
 
 
 class TestValidate:
@@ -135,6 +143,83 @@ class TestCheckIso:
         a = mk(["v"], [("e", "v", "v", 1)])
         b = mk(["v", "w"], [("e", "v", "v", 1)])
         assert check_iso(a, b, QuiverIso(QuiverMorphism({"v": "v"}, {"e": "e"}))) is False
+
+    IDENTITY = QuiverIso(QuiverMorphism({"v": "v", "w": "w"}, {"e": "e"}))
+
+    def test_weight_mismatch_is_false(self):
+        a = mk(["v", "w"], [("e", "v", "w", 1)])
+        b = mk(["v", "w"], [("e", "v", "w", 2)])
+        assert check_iso(a, b, self.IDENTITY) is False
+
+    def test_endpoint_mismatch_is_false(self):
+        a = mk(["v", "w"], [("e", "v", "w", 1)])
+        b = mk(["v", "w"], [("e", "w", "v", 1)])
+        assert check_iso(a, b, self.IDENTITY) is False
+
+    def test_equal_weights_in_distinct_objects(self):
+        # Tuple equality tries identity first: equal values must still match.
+        a = mk(["v", "w"], [("e", "v", "w", Fraction(2, 4))])
+        b = mk(["v", "w"], [("e", "v", "w", Fraction(1, 2))])
+        assert a.edges[0].weight is not b.edges[0].weight
+        assert check_iso(a, b, self.IDENTITY) is True
+
+
+def ref_check_iso(a, b, iso):
+    """Reference for ``check_iso``: two bijection tests, then
+    ``check_morphism``, then a pass over the edge weights."""
+    f = iso.forward
+    return (
+        _bijection(f.vmap, set(a.vertices), set(b.vertices))
+        and _bijection(f.emap, {e.id for e in a.edges}, {e.id for e in b.edges})
+        and check_morphism(a, b, f)
+        and all(b.edge(f.emap[e.id]).weight == e.weight for e in a.edges)
+    )
+
+
+BREAKS = ["none", "weight", "endpoints", "vertex-images", "edge-images",
+          "missing-vertex", "not-injective", "extra-vertex"]
+
+
+def broken_relabelling(a, rng, kind):
+    """A relabelled, shuffled copy b of a and the map a -> b, with b or the
+    map broken as ``kind`` says (where a is big enough for it)."""
+    b, vmap, emap = relabelling(a, rng)
+    vs, es = list(b.vertices), list(b.edges)
+    if kind in ("weight", "endpoints") and es:
+        i = rng.randrange(len(es))
+        e = es[i]
+        es[i] = (Edge(e.id, e.src, e.rng, e.weight + 1) if kind == "weight"
+                 else Edge(e.id, e.rng, e.src, e.weight))
+    elif kind in ("vertex-images", "edge-images"):
+        m = vmap if kind == "vertex-images" else emap
+        if len(m) > 1:
+            x, y = rng.sample(sorted(m), 2)
+            m[x], m[y] = m[y], m[x]
+    elif kind == "not-injective":
+        m = rng.choice([vmap, emap])
+        if len(m) > 1:
+            x, y = rng.sample(sorted(m), 2)
+            m[x] = m[y]
+    elif kind == "missing-vertex":
+        del vmap[rng.choice(a.vertices)]
+    elif kind == "extra-vertex":
+        vs.append("extra")
+    return FiniteQuiver(vs, es), QuiverIso(QuiverMorphism(vmap, emap))
+
+
+def test_check_iso_agrees_with_reference_on_random_draws():
+    rng = random.Random("check_iso")
+    outcomes = Counter()
+    for _ in range(2400):
+        vs = [f"v{i}" for i in range(rng.randint(1, 5))]
+        a = mk(vs, [(f"e{i}", rng.choice(vs), rng.choice(vs), rng.choice((1, "1/2")))
+                    for i in range(rng.randint(0, 8))])
+        kind = rng.choice(BREAKS)
+        b, iso = broken_relabelling(a, rng, kind)
+        got = check_iso(a, b, iso)
+        assert got is ref_check_iso(a, b, iso), (kind, a.edges, b.edges, iso)
+        outcomes[got] += 1
+    assert outcomes[True] and outcomes[False], outcomes
 
 
 class TestIsoSearch:

@@ -32,7 +32,7 @@ from quiverskew import (
 )
 from quiverskew import io as qio
 from quiverskew.randgen import random_cocycle, random_quiver, random_weight
-from quiverskew.skew import SkewError, _first_factor_iso
+from quiverskew.skew import SkewError, SkewOrbitError, _first_factor_iso
 
 from conftest import count_facts, mk, trivial_action
 
@@ -339,6 +339,13 @@ class TestGrossTucker:
             gross_tucker_reconstruct(q, a, Section({"w": "w"}))
         assert str(info.value) == "section does not cover exactly the vertex orbits"
 
+    def test_witness_that_check_iso_rejects_raises(self, monkeypatch):
+        q, a = swap_loops_action()
+        monkeypatch.setattr("quiverskew.skew.check_iso", lambda a, b, iso: False)
+        with pytest.raises(SkewOrbitError) as info:
+            gross_tucker_reconstruct(q, a)
+        assert str(info.value) == "reconstructed witness failed isomorphism verification"
+
     def test_law_check_and_orbits_run_once_per_action(self, monkeypatch):
         built = count_facts(monkeypatch)
         q = two_loop_quiver()
@@ -407,6 +414,12 @@ class TestCheckSkewOrbit:
         q = mk(["v", "w"], [("a", "v", "w", "2/7"), ("b", "w", "v", 1)])
         g = make_symmetric(3)
         check_skew_orbit(q, Cocycle(g, {"a": "231", "b": "321"}))
+
+    def test_map_that_check_iso_rejects_raises(self, monkeypatch):
+        monkeypatch.setattr("quiverskew.skew.check_iso", lambda a, b, iso: False)
+        with pytest.raises(SkewOrbitError) as info:
+            check_skew_orbit(loop_quiver(), Cocycle(make_cyclic(2), {"e": "1"}))
+        assert str(info.value) == "canonical skew-orbit isomorphism failed to verify"
 
 
 # The string-formatting builders that ``skew._copies`` replaced, kept as
