@@ -7,7 +7,8 @@ group and action laws are checked against a generating set S of the group
 validation is O(|G|.|S|.(|V|+|E|)) for an action and O(|G|^2.|S|) for a
 Cayley table.
 
-An action's tables are read-only copies made when it is built, so what an
+An action's tables are read-only copies made when it is built (the
+translation action's, built for it alone, are not copied), so what an
 action determines on a quiver cannot go stale.  All of it is one private
 object per (action, quiver object) pair, built once: the index view (per
 element, the tuple of the image indices of q's vertices and of its edges,
@@ -134,7 +135,7 @@ def validate_group(g):
 @cache
 def make_cyclic(n):
     """Cyclic group Z/n with elements "0".."n-1" under addition."""
-    if not 1 <= n <= MAX_ORDER:
+    if isinstance(n, bool) or not 1 <= n <= MAX_ORDER:  # True would be a second Z/1
         raise GroupError(f"cyclic group order must be between 1 and {MAX_ORDER}")
     els = [str(i) for i in range(n)]
     table = {
@@ -150,7 +151,7 @@ def make_symmetric(n):
     Element "231" is the map 1->2, 2->3, 3->1; composition is
     "apply left, then right", matching the right-action convention.
     """
-    if not 1 <= n <= 5:
+    if isinstance(n, bool) or not 1 <= n <= 5:  # True would be a second S1
         raise GroupError("symmetric group supported for 1 <= n <= 5")
     perms = sorted(itertools.permutations(range(n)))
     name = {p: "".join(str(i + 1) for i in p) for p in perms}
@@ -159,9 +160,9 @@ def make_symmetric(n):
     return FiniteGroup([name[p] for p in perms], table, identity)
 
 
-def _read_only(table):
-    """A read-only copy of a table {element -> {x -> x.g}}, inner maps too."""
-    return MappingProxyType({g: MappingProxyType(dict(p)) for g, p in table.items()})
+def _proxy(table):
+    """A read-only view of a table {element -> {x -> x.g}}, inner maps too."""
+    return MappingProxyType({g: MappingProxyType(p) for g, p in table.items()})
 
 
 @dataclass(frozen=True)
@@ -182,8 +183,18 @@ class QuiverAction:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vperm", _read_only(self.vperm))
-        object.__setattr__(self, "eperm", _read_only(self.eperm))
+        object.__setattr__(self, "vperm", _proxy({g: dict(p) for g, p in self.vperm.items()}))
+        object.__setattr__(self, "eperm", _proxy({g: dict(p) for g, p in self.eperm.items()}))
+
+    @classmethod
+    def _owning(cls, group, vperm, eperm):
+        """The action on tables built for it, that no caller holds (as
+        ``skew.translation_action`` builds them): they are made read-only as
+        they are, without the copy."""
+        a = cls(group, {}, {})
+        object.__setattr__(a, "vperm", _proxy(vperm))
+        object.__setattr__(a, "eperm", _proxy(eperm))
+        return a
 
     def act_v(self, v, g):
         return self.vperm[g][v]
@@ -223,9 +234,10 @@ class _Facts:
     """All that the action a determines on the quiver q, built once per pair by ``_facts``.
 
     The index view: ``vertices`` and ``edges`` are a ``_Side`` each; src, rng and weight
-    give each edge's source, range and weight class.  ``error`` names the first table
-    (g outer, vertices first) that is not a permutation of q's items; then ``report`` is
-    [error] and the rest is None.  Else ``report`` is validate_action's, ``free`` is
+    give each edge's source, range and weight class, and ``weight_class`` maps a weight's
+    (numerator, denominator) to its class.  ``error`` names the first table (g outer,
+    vertices first) that is not a permutation of q's items; then ``report`` is [error]
+    and the rest is None.  Else ``report`` is validate_action's, ``free`` is
     freeness on vertices, ``orbits`` the vertex and edge orbits, and ``quotient`` and
     ``proj`` the orbit quiver and the projection onto it (None unless valid and free).
     """
@@ -240,6 +252,7 @@ class _Facts:
         self.rng = tuple(vpos[e.rng] for e in q.edges)
         self.weight = tuple(classes.setdefault(e.weight.as_integer_ratio(), len(classes))
                             for e in q.edges)
+        self.weight_class = classes
         self.error = self.free = self.orbits = self.quotient = self.proj = None
         for g in a.group.elements:
             for side, perms in zip(sides, (a.vperm, a.eperm)):

@@ -158,8 +158,70 @@ def parse_action_document(obj, q):
 
 
 def dumps(obj):
-    """Deterministic JSON encoding used for every emitted document."""
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """Deterministic JSON encoding used for every emitted document.
+
+    The text is exactly ``json.dumps(obj, indent=2) + "\\n"``, byte for byte,
+    for every obj that call accepts.  It is written by ``_emit`` instead of the
+    standard library's pure-Python indent encoder: strings go through the C
+    ``encode_basestring_ascii``, ints through ``int.__repr__``, and a list of
+    only str or only int is joined in one call.
+    """
+    out = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+# The item encoder of a list whose items are all of one of these types, joined in one call.
+_JOINED = {frozenset([str]): _quote, frozenset([int]): int.__repr__}
+
+
+def _key(k):
+    """A dict key as json.dumps writes it: str as it is; float, int, bool and None
+    by their JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _emit(o, ind, out):
+    """Append to ``out`` the text json.dumps(o, indent=2) writes for o at the depth
+    whose newline and indent is ``ind``."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = ind + "  "
+        encode = _JOINED.get(frozenset(map(type, o)))
+        if encode:
+            out += ("[", inner, ("," + inner).join(map(encode, o)))
+        else:
+            sep = "[" + inner
+            for x in o:
+                out.append(sep)
+                _emit(x, inner, out)
+                sep = "," + inner
+        out += (ind, "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = ind + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            out += (sep, _quote(_key(k)), ": ")
+            _emit(v, inner, out)
+            sep = "," + inner
+        out += (ind, "}")
+    elif isinstance(o, int) and not isinstance(o, bool):
+        out.append(int.__repr__(o))
+    else:  # bool, None, float; json.dumps raises TypeError for anything else
+        out.append(json.dumps(o))
 
 
 def _dot_quote(s):

@@ -9,6 +9,11 @@ action arises this way once a section of the vertex orbits is chosen.
 One builder, ``_copies``, names the copies (x, h) ``x@h``, vertices then
 edges in input order and h in G.elements order, for the skew product, its
 translation action, the first-factor map and the Gross-Tucker witness.
+The Gross-Tucker witness is checked against this defining rule, edge by
+edge on the index view, not against a skew product built to compare with:
+bijections onto V x G and E x G that send each edge to a copy with the
+source, range and weight the rule gives are an isomorphism onto the
+product, and nothing else is.
 ``quotient_quiver``, ``lift_system`` and ``gross_tucker_reconstruct`` pass
 one gate, ``_free``: the action must be valid (else SkewError ``invalid
 action: ...``) and free (else ``... requires a free action``).  Past it they
@@ -18,6 +23,7 @@ read the quotient, orbits and index view that ``group`` builds once per
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .quiver import (
@@ -86,10 +92,17 @@ def translation_action(q, kappa):
     """Right translation (x, h).g = (x, hg) on skew_product(q, kappa), on the ids
     ``_copies`` gives: vertices then edges in input order, h in G.elements order."""
     G = kappa.group
-    right = {g: [(h, G.mul(h, g)) for h in G.elements] for g in G.elements}
-    vperm, eperm = ({g: {ids[h]: ids[hg] for ids in copies.values() for h, hg in pairs}
-                     for g, pairs in right.items()} for copies in _copies(q, G))
-    return QuiverAction(G, vperm, eperm)
+    pos = {h: i for i, h in enumerate(G.elements)}
+    # right[g] takes the ids of the copies (x, h) of one x, h in G.elements order,
+    # to the ids of the (x, hg).
+    right = {g: _getter([pos[G.mul(h, g)] for h in G.elements]) for g in G.elements}
+    tables = []
+    for copies in _copies(q, G):
+        rows = [tuple(ids.values()) for ids in copies.values()]
+        keys = list(itertools.chain.from_iterable(rows))
+        tables.append({g: dict(zip(keys, itertools.chain.from_iterable(map(at, rows))))
+                       for g, at in right.items()})
+    return QuiverAction._owning(G, *tables)
 
 
 def _free(q, a, what):
@@ -166,6 +179,28 @@ class GrossTuckerWitness:
     iso: QuiverIso  # q -> skew_product(quotient, cocycle), in pair-id form
 
 
+def _is_skew_witness(facts, quot, kappa, phi, sigma):
+    """True iff phi (vertex -> (o, g)) and sigma (edge id -> (o, g)), total on the
+    quiver q of ``facts``, are an isomorphism of q onto skew_product(quot, kappa):
+    the rule stated in ``gross_tucker_reconstruct``, in one pass over q's index
+    tuples, with weights compared by their integer class."""
+    G = kappa.group
+    phis, sigmas = _getter(facts.vertices.items)(phi), _getter(facts.edges.items)(sigma)
+    for table, pairs, ids in ((phi, phis, quot.vertices),
+                              (sigma, sigmas, [o.id for o in quot.edges])):
+        if not len(table) == len(pairs) == len(ids) * G.order or (
+                set(pairs) != set(itertools.product(ids, G.elements))):
+            return False
+    rule = {o.id: (o.src, o.rng, G.table[kappa.map[o.id]],
+                   facts.weight_class.get(o.weight.as_integer_ratio())) for o in quot.edges}
+    of_src, of_rng = _getter(facts.src), _getter(facts.rng)
+    for (o, g), at_src, at_rng, w in zip(sigmas, of_src(phis), of_rng(phis), facts.weight):
+        src, rng, times, w_o = rule[o]
+        if at_src != (src, g) or at_rng != (rng, times[g]) or w != w_o:
+            return False
+    return True
+
+
 def gross_tucker_reconstruct(q, a, section=None):
     """Exhibit a free action as a skew product of its quotient.
 
@@ -173,8 +208,18 @@ def gross_tucker_reconstruct(q, a, section=None):
     section point of v's orbit to v; phi(v) = (orbit(v), g_v) and
     sigma(e) = (orbit(e), g_{src(e)}).  The recovered cocycle value on an
     edge orbit is g_{rng(e0)} for the unique representative e0 whose source
-    lies on the section.  The returned witness is verified exhaustively.
-    Its quotient is the one quotient_quiver builds once per action and quiver.
+    lies on the section.  Its quotient is the one quotient_quiver builds once
+    per action and quiver.
+
+    The witness is checked before it is returned, without building the skew
+    product: phi and sigma must be bijections onto V(quot) x G and
+    E(quot) x G, and each edge e with sigma(e) = (o, g) must have
+    phi(s(e)) = (s(o), g), phi(r(e)) = (r(o), kappa(o)*g) and the weight of o.
+    The edge (o, g) of quot x_kappa G has exactly that source, range and
+    weight (Gross and Tucker 1977), so this holds exactly when ``iso``
+    carries q's edge table onto the product's, which is what check_iso
+    decides.  phi and sigma must also be G-equivariant.  A failed check
+    raises SkewOrbitError: it indicates an implementation bug.
     """
     facts = _free(q, a, "reconstruction")
     quot, proj = facts.quotient, facts.proj
@@ -198,12 +243,11 @@ def gross_tucker_reconstruct(q, a, section=None):
     kmap = {o: g_of[r] for o, g, r in zip(e_orb, e_g, facts.rng) if g == G.identity}
     kappa = Cocycle(G, {o.id: kmap[o.id] for o in quot.edges})
 
-    skew = skew_product(quot, kappa)
+    if not _is_skew_witness(facts, quot, kappa, phi, sigma):
+        raise SkewOrbitError("reconstructed witness failed isomorphism verification")
     vcopies, ecopies = _copies(quot, G)
     iso = QuiverIso(QuiverMorphism({v: vcopies[o][g] for v, (o, g) in phi.items()},
                                    {e: ecopies[o][g] for e, (o, g) in sigma.items()}))
-    if not check_iso(q, skew, iso):
-        raise SkewOrbitError("reconstructed witness failed isomorphism verification")
     # G-equivariance of the trivializations.  Checking the generators
     # suffices: the action is a homomorphism (validated on G x S), so
     # equivariance extends to G by induction on word length.

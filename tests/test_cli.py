@@ -373,6 +373,15 @@ class TestExportDot:
         )
 
 
+# Strings with quotes, backslashes, control and non-ASCII characters; ints past
+# 64 bits either way; floats, true, false and null.
+TEXTS = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "\x00\n\x1f", "é", "☃😀"]))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), TEXTS,
+    st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64),
+)
+
+
 class TestRoundtrip:
     def test_parse_emit_identity_on_canonical_document(self):
         doc = {
@@ -383,6 +392,20 @@ class TestRoundtrip:
             ],
         }
         assert qio.emit_quiver_document(qio.parse_quiver_document(doc)) == doc
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        SCALARS,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(TEXTS, max_size=4),
+            st.lists(st.integers(), max_size=4),
+            st.dictionaries(st.one_of(TEXTS, SCALARS), inner, max_size=4),
+        ),
+        max_leaves=24,
+    ))
+    def test_dumps_writes_what_json_dumps_writes(self, doc):
+        assert qio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 S3 = {"kind": "symmetric", "n": 3}

@@ -73,6 +73,14 @@ class TestMakeSymmetric:
             make_symmetric(0)
 
 
+@pytest.mark.parametrize("make", [make_cyclic, make_symmetric], ids=["cyclic", "symmetric"])
+def test_a_bool_order_is_refused(make):
+    # functools.cache keys True apart from 1, so it would build a second trivial group.
+    for n in (True, False):
+        with pytest.raises(GroupError):
+            make(n)
+
+
 @pytest.mark.parametrize("group", [
     make_cyclic(1), make_cyclic(12), make_symmetric(3), make_symmetric(4),
     make_symmetric(5),

@@ -32,7 +32,8 @@ from quiverskew import (
 )
 from quiverskew import io as qio
 from quiverskew.randgen import random_cocycle, random_quiver, random_weight
-from quiverskew.skew import SkewError, SkewOrbitError, _first_factor_iso
+from quiverskew.group import _facts
+from quiverskew.skew import SkewError, SkewOrbitError, _copies, _first_factor_iso, _is_skew_witness
 
 from conftest import count_facts, mk, trivial_action
 
@@ -129,6 +130,11 @@ class TestTranslationAction:
         act = translation_action(q, kappa)
         assert act.vperm["1"] == {"v@0": "v@1", "v@1": "v@0"}
         assert act.eperm["1"] == {"e@0": "e@1", "e@1": "e@0"}
+        # Its tables are not copied, but still read-only.
+        with pytest.raises(TypeError):
+            act.vperm["1"]["v@0"] = "v@0"
+        with pytest.raises(TypeError):
+            act.eperm["1"] = {}
 
     def test_weight_equivariance_exact(self):
         q = two_loop_quiver()
@@ -341,7 +347,7 @@ class TestGrossTucker:
 
     def test_witness_that_check_iso_rejects_raises(self, monkeypatch):
         q, a = swap_loops_action()
-        monkeypatch.setattr("quiverskew.skew.check_iso", lambda a, b, iso: False)
+        monkeypatch.setattr("quiverskew.skew._is_skew_witness", lambda *witness: False)
         with pytest.raises(SkewOrbitError) as info:
             gross_tucker_reconstruct(q, a)
         assert str(info.value) == "reconstructed witness failed isomorphism verification"
@@ -393,6 +399,82 @@ class TestGrossTucker:
         witness = gross_tucker_reconstruct(skew, act)
         target = skew_product(witness.quotient, witness.cocycle)
         assert check_iso(skew, target, witness.iso)
+
+
+def rule_and_check_iso(q, a, quot, kappa, phi, sigma):
+    """``_is_skew_witness`` on a witness, asserted to agree with its reference:
+    check_iso of q against the built skew_product(quot, kappa), on the pair ids."""
+    vcopies, ecopies = _copies(quot, kappa.group)
+    iso = QuiverIso(QuiverMorphism({v: vcopies[o][g] for v, (o, g) in phi.items()},
+                                   {e: ecopies[o][g] for e, (o, g) in sigma.items()}))
+    verdict = _is_skew_witness(_facts(q, a), quot, kappa, phi, sigma)
+    assert verdict == check_iso(q, skew_product(quot, kappa), iso)
+    return verdict
+
+
+def broken_witnesses(rng, w):
+    """(kind, [quot, kappa, phi, sigma]): the witness w with one coordinate changed."""
+    G, quot = w.cocycle.group, w.quotient
+
+    def changed(i, value):
+        witness = [quot, w.cocycle, w.phi, w.sigma]
+        witness[i] = value
+        return witness
+
+    for name, i, table in (("phi", 2, w.phi), ("sigma", 3, w.sigma)):
+        if len(table) > 1:
+            x, y = rng.sample(list(table), 2)
+            yield f"{name} repeated", changed(i, {**table, x: table[y]})
+            yield f"{name} swapped", changed(i, {**table, x: table[y], y: table[x]})
+    if quot.edges:
+        o = rng.choice(quot.edges)
+        others = [g for g in G.elements if g != w.cocycle.map[o.id]]
+        if others:
+            yield "kappa", changed(1, Cocycle(G, {**w.cocycle.map, o.id: rng.choice(others)}))
+        for kind, edit in (("weight", lambda e: Edge(e.id, e.src, e.rng, e.weight + 1)),
+                           ("range", lambda e: Edge(e.id, e.src, rng.choice(quot.vertices),
+                                                    e.weight))):
+            edges = [edit(e) if e is o else e for e in quot.edges]
+            yield kind, changed(0, FiniteQuiver(quot.vertices, edges))
+
+
+class TestSkewWitnessRule:
+    """The rule check behind gross_tucker_reconstruct agrees with check_iso."""
+
+    def test_agrees_with_check_iso_on_seeded_draws(self):
+        rng = random.Random(16)
+        rejected = set()
+        groups = [make_cyclic(2), make_cyclic(3), make_cyclic(4), make_symmetric(3)]
+        for i in range(120):
+            q = random_quiver(rng, 5, 8)
+            kappa = random_cocycle(rng, q, groups[i % len(groups)])
+            skew, act = skew_product(q, kappa), translation_action(q, kappa)
+            v_orbits, _ = orbits(skew, act)
+            w = gross_tucker_reconstruct(
+                skew, act, Section({orb[0]: rng.choice(orb) for orb in v_orbits}))
+            assert rule_and_check_iso(skew, act, w.quotient, w.cocycle, w.phi, w.sigma)
+            for kind, witness in broken_witnesses(rng, w):
+                if not rule_and_check_iso(skew, act, *witness):
+                    rejected.add(kind)
+        # Each kind of change is caught somewhere, on S3's non-commuting cocycles too.
+        assert rejected == {"phi repeated", "phi swapped", "sigma repeated", "sigma swapped",
+                            "kappa", "weight", "range"}
+
+    def test_a_map_that_is_no_bijection_is_rejected_where_every_edge_keeps_the_rule(self):
+        # No edges to break: phi sends both vertices to one copy.
+        q = mk(["v", "w"], [])
+        a = QuiverAction(make_cyclic(2), {"0": {"v": "v", "w": "w"}, "1": {"v": "w", "w": "v"}},
+                         {"0": {}, "1": {}})
+        w = gross_tucker_reconstruct(q, a)
+        repeated = {"v": ("v", "0"), "w": ("v", "0")}
+        assert not rule_and_check_iso(q, a, w.quotient, w.cocycle, repeated, w.sigma)
+        # Two parallel loops of one weight: sigma sends both copies of one to the same copy.
+        q = mk(["u"], [("a", "u", "u", 1), ("b", "u", "u", 1)])
+        kappa = Cocycle(make_cyclic(2), {"a": "0", "b": "0"})
+        skew, act = skew_product(q, kappa), translation_action(q, kappa)
+        w = gross_tucker_reconstruct(skew, act)
+        repeated = {**w.sigma, "b@0": w.sigma["a@0"]}
+        assert not rule_and_check_iso(skew, act, w.quotient, w.cocycle, w.phi, repeated)
 
 
 class TestCheckSkewOrbit:
