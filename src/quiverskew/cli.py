@@ -4,8 +4,6 @@ Exit codes: 0 success/PASS, 1 domain failure (validation or FAIL),
 2 usage or parse error.  All output is deterministic byte-for-byte.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import random

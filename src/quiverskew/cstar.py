@@ -21,11 +21,8 @@ s(p) = s(en), r(p) = r(e1); the trivial path at v has s = r = v.
 A cocycle extends to paths by kappa(p) = kappa(e1) * ... * kappa(en).
 """
 
-from __future__ import annotations
-
 import heapq
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 
 class CStarError(ValueError):
@@ -90,11 +87,11 @@ def path_counts(q):
     return {v: c[0] for v, c in _path_counts(q, lambda v: 0, lambda x, e: 0).items()}
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    """Multiset of matrix block sizes of a finite-dimensional algebra."""
+class BlockStructure(namedtuple("BlockStructure", "blocks")):
+    """Multiset of matrix block sizes of a finite-dimensional algebra, as a
+    sorted tuple of positive ints."""
 
-    blocks: tuple  # sorted positive ints
+    __slots__ = ()
 
     @property
     def total_dimension(self):
@@ -105,11 +102,8 @@ class BlockStructure:
         return BlockStructure(tuple(sorted(sizes)))
 
 
-@dataclass(frozen=True)
-class KTheory:
-    k0_invariant_factors: tuple  # each >= 2, divisibility chain
-    k0_free_rank: int
-    k1_rank: int
+# K0 as its invariant factors (each >= 2, a divisibility chain) and free rank; K1's rank.
+KTheory = namedtuple("KTheory", "k0_invariant_factors k0_free_rank k1_rank")
 
 
 def acyclic_block_structure(q):
@@ -146,11 +140,9 @@ def graded_dimensions(q, kappa):
     return dims
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
-    diagonal: tuple  # nonnegative, d1 | d2 | ...
-    left: tuple      # U, unimodular, rows = rows of M
-    right: tuple     # V, unimodular, cols = cols of M
+# U M V = D: the diagonal of D (nonnegative, d1 | d2 | ...) and the unimodular
+# witnesses U (left; its rows are the rows of M) and V (right; its columns are M's).
+SmithNormalForm = namedtuple("SmithNormalForm", "diagonal left right")
 
 
 def smith_normal_form(M):

@@ -18,15 +18,11 @@ for a valid free action, the quotient and its projection.  ``validate_action``,
 ``skew`` all read it.  Each law compares whole tuples.
 """
 
-from __future__ import annotations
-
 import itertools
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, cached_property
 from operator import itemgetter, ne
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .quiver import Edge, FiniteQuiver, QuiverMorphism, check_morphism
 
@@ -165,36 +161,44 @@ def _proxy(table):
     return MappingProxyType({g: MappingProxyType(p) for g, p in table.items()})
 
 
-@dataclass(frozen=True)
-class QuiverAction:
+class QuiverAction(namedtuple("QuiverAction", "group vperm eperm")):
     """Right action of a finite group on a quiver, as permutation tables.
 
-    The tables are read-only copies of the mappings passed in: assigning to
-    ``a.vperm[g][v]`` raises ``TypeError``, and later changes to the caller's
-    dicts do not reach the action.  What the action determines on a quiver
-    (validation report, freeness, orbits, quotient; see the module
-    docstring) is built once per quiver object and kept in a memo keyed by
-    the quiver's identity, which holds a reference to the quiver.
+    ``vperm`` maps each element to {vertex -> vertex}, ``eperm`` to {edge id
+    -> edge id}.  The tables are read-only copies of the mappings passed in:
+    assigning to ``a.vperm[g][v]`` raises ``TypeError``, and later changes to
+    the caller's dicts do not reach the action.  Actions compare by (group,
+    vperm, eperm), are not hashable, and take no attribute assignment.  What
+    the action determines on a quiver (validation report, freeness, orbits,
+    quotient; see the module docstring) is built once per quiver object and
+    kept in a memo keyed by the quiver's identity, which holds a reference to
+    the quiver.
     """
 
-    group: FiniteGroup
-    vperm: Mapping  # element -> {vertex -> vertex}, read-only
-    eperm: Mapping  # element -> {edge id -> edge id}, read-only
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __hash__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "vperm", _proxy({g: dict(p) for g, p in self.vperm.items()}))
-        object.__setattr__(self, "eperm", _proxy({g: dict(p) for g, p in self.eperm.items()}))
+    def __new__(cls, group, vperm, eperm):
+        return cls._owning(group, {g: dict(p) for g, p in vperm.items()},
+                           {g: dict(p) for g, p in eperm.items()})
 
     @classmethod
     def _owning(cls, group, vperm, eperm):
         """The action on tables built for it, that no caller holds (as
         ``skew.translation_action`` builds them): they are made read-only as
         they are, without the copy."""
-        a = cls(group, {}, {})
-        object.__setattr__(a, "vperm", _proxy(vperm))
-        object.__setattr__(a, "eperm", _proxy(eperm))
+        a = tuple.__new__(cls, (group, _proxy(vperm), _proxy(eperm)))
+        a.__dict__["_memo"] = {}
         return a
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace copies the tables and gives a memo too
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def act_v(self, v, g):
         return self.vperm[g][v]
@@ -210,11 +214,13 @@ def _getter(keys):
     return lambda m: tuple(m[k] for k in keys)
 
 
-class _Side(NamedTuple):
-    kind: str  # "vertex" or "edge"
-    items: tuple  # the quiver's vertex (or edge) ids, in input order
-    pos: dict  # id -> its index in items
-    tables: dict  # element -> the tuple of image indices, in G.elements order
+class _Side(namedtuple("_Side", "kind items pos tables")):
+    """One side of the index view: ``kind`` is "vertex" or "edge", ``items`` the
+    quiver's vertex (or edge) ids in input order, ``pos`` maps an id to its index
+    in items, and ``tables`` an element to the tuple of image indices, in
+    G.elements order."""
+
+    __slots__ = ()
 
     def fixed_point_free(self, ident):
         """True iff no element but ``ident`` fixes one of the items."""

@@ -6,12 +6,11 @@ on canonical documents (sorted ids, reduced fractions) parse . emit is the
 identity byte-for-byte.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .quiver import Edge, FiniteQuiver
 from .group import (
@@ -62,6 +61,11 @@ def _strings(items):
     return all(map(isinstance, items, itertools.repeat(str)))
 
 
+_EDGE_FIELDS = ("id", "src", "rng", "weight")
+_EDGE_KEYS = frozenset(_EDGE_FIELDS)
+_edge_fields = itemgetter(*_EDGE_FIELDS)
+
+
 def parse_quiver_document(obj):
     """A quiver from its document; each distinct weight string is parsed once."""
     vertices = _require(obj, "vertices", list, "quiver document")
@@ -71,10 +75,11 @@ def parse_quiver_document(obj):
     edges = []
     weights = {}
     for rec in raw_edges:
-        eid = _require(rec, "id", str, "edge record")
-        src = _require(rec, "src", str, "edge record")
-        rng = _require(rec, "rng", str, "edge record")
-        text = _require(rec, "weight", str, "edge record")
+        if not (isinstance(rec, dict) and rec.keys() >= _EDGE_KEYS
+                and _strings(fields := _edge_fields(rec))):
+            for key in _EDGE_FIELDS:  # raises _require's message for the first bad field
+                _require(rec, key, str, "edge record")
+        eid, src, rng, text = fields
         weight = weights.get(text)
         if weight is None:
             weight = weights[text] = parse_fraction(text)
@@ -132,6 +137,8 @@ def parse_cocycle_document(obj, q):
     for eid, g in mapping.items():
         if not isinstance(g, str) or g not in els:
             raise ParseError(f"cocycle document: {g!r} is not a group element")
+        if not q.has_edge(eid):
+            raise ParseError(f"cocycle document: {eid!r} is not an edge")
     for e in q.edges:
         if e.id not in mapping:
             raise ParseError(f"cocycle document: no value for edge {e.id!r}")

@@ -6,11 +6,8 @@ positive rational weights.  All arithmetic is exact: weights are
 never a float tolerance.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 
 
 class QuiverError(ValueError):
@@ -28,17 +25,21 @@ class IsoBudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str
-    rng: str
-    weight: Fraction
+class Edge(namedtuple("Edge", "id src rng weight")):
+    """An edge: its id, source, range and weight.
 
-    def __post_init__(self):
-        # A Fraction is kept as given, so interned weights stay shared.
-        if not isinstance(self.weight, Fraction):
-            object.__setattr__(self, "weight", Fraction(self.weight))
+    A weight given as a ``Fraction`` is kept as that object, so interned
+    weights stay shared; anything else goes through ``Fraction(...)``.
+    ``_make`` and ``_replace`` build the tuple directly and skip that
+    coercion.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id, src, rng, weight):
+        if not isinstance(weight, Fraction):
+            weight = Fraction(weight)
+        return tuple.__new__(cls, (id, src, rng, weight))
 
 
 class FiniteQuiver:
@@ -103,17 +104,10 @@ class FiniteQuiver:
         return f"FiniteQuiver({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class QuiverMorphism:
-    """Vertex and edge maps into a target quiver."""
-
-    vmap: dict
-    emap: dict
-
-
-@dataclass(frozen=True)
-class QuiverIso:
-    forward: QuiverMorphism
+# Vertex and edge maps {id -> id} into a target quiver.
+QuiverMorphism = namedtuple("QuiverMorphism", "vmap emap")
+# An isomorphism, by its forward QuiverMorphism.
+QuiverIso = namedtuple("QuiverIso", "forward")
 
 
 def validate_quiver(q):
@@ -133,7 +127,7 @@ def validate_quiver(q):
             report.append(f"dangling endpoint: edge {e.id!r} has src {e.src!r}")
         if e.rng not in seen_v:
             report.append(f"dangling endpoint: edge {e.id!r} has rng {e.rng!r}")
-        if e.weight <= 0:
+        if e.weight.numerator <= 0:  # a Fraction's denominator is positive
             report.append(f"nonpositive weight: edge {e.id!r} has weight {e.weight}")
     return report
 

@@ -1,7 +1,5 @@
 """Seeded random fixtures for the verification driver and the test suite."""
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 

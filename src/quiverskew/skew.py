@@ -21,10 +21,8 @@ read the quotient, orbits and index view that ``group`` builds once per
 (action, quiver object) pair.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .quiver import (
     Edge,
@@ -44,12 +42,11 @@ class SkewOrbitError(RuntimeError):
     """The canonical skew-orbit isomorphism failed to verify (a bug, not math)."""
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """Total map from edge ids to group elements.  No identity imposed."""
+class Cocycle(namedtuple("Cocycle", "group map")):
+    """Total map {edge id -> element id} into the elements of a FiniteGroup.
+    No identity imposed."""
 
-    group: object  # FiniteGroup
-    map: dict  # edge id -> element id
+    __slots__ = ()
 
     def value(self, eid):
         try:
@@ -157,11 +154,8 @@ def lift_system(quot, total, a, edge_orbit_map):
     return {e.id: quot_weights[edge_orbit_map[e.id]] for e in total.edges}
 
 
-@dataclass(frozen=True)
-class Section:
-    """Choice of one vertex per vertex orbit, keyed by orbit representative."""
-
-    representative: dict  # quotient vertex id -> total vertex id
+# Choice of one vertex per vertex orbit: {quotient vertex id -> total vertex id}.
+Section = namedtuple("Section", "representative")
 
 
 def default_section(q, a):
@@ -170,13 +164,10 @@ def default_section(q, a):
     return Section({orb[0]: min(orb) for orb in v_orbits})
 
 
-@dataclass(frozen=True)
-class GrossTuckerWitness:
-    quotient: FiniteQuiver
-    cocycle: Cocycle
-    phi: dict    # vertex -> (quotient vertex, group element)
-    sigma: dict  # edge id -> (quotient edge id, group element)
-    iso: QuiverIso  # q -> skew_product(quotient, cocycle), in pair-id form
+# The quotient FiniteQuiver and Cocycle of q, phi {vertex -> (quotient vertex, group
+# element)}, sigma {edge id -> (quotient edge id, group element)}, and the QuiverIso
+# q -> skew_product(quotient, cocycle) in pair-id form.
+GrossTuckerWitness = namedtuple("GrossTuckerWitness", "quotient cocycle phi sigma iso")
 
 
 def _is_skew_witness(facts, quot, kappa, phi, sigma):

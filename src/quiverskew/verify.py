@@ -23,8 +23,6 @@ number of paths from u into layer e; and all degrees sum to the total
 dimension.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .quiver import check_iso

@@ -686,6 +686,9 @@ class TestDocumentTypes:
         assert capsys.readouterr().err.startswith("parse error: ")
 
 
+EDGE = {"id": "e", "src": "v", "rng": "v", "weight": "1"}
+
+
 class TestParseMessages:
     def test_weight_that_is_not_a_fraction(self):
         with pytest.raises(qio.ParseError) as info:
@@ -713,6 +716,36 @@ class TestParseMessages:
             with pytest.raises(qio.ParseError) as info:
                 qio.parse_group_document(doc)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("rec, message", [
+        (["e", "v", "v", "1"], "edge record: missing field 'id'"),
+        (5, "edge record: missing field 'id'"),
+        *[({k: v for k, v in EDGE.items() if k != key}, f"edge record: missing field {key!r}")
+          for key in EDGE],
+        *[(dict(EDGE, **{key: value}), f"edge record: field {key!r} has wrong type")
+          for key in EDGE for value in (1, ["e"], None)],
+    ], ids=["list", "number"] + [f"missing-{key}" for key in EDGE]
+           + [f"{key}-{kind}" for key in EDGE for kind in ("number", "list", "null")])
+    def test_edge_record(self, rec, message):
+        with pytest.raises(qio.ParseError) as info:
+            qio.parse_quiver_document({"vertices": ["v"], "edges": [EDGE, rec]})
+        assert str(info.value) == message
+
+    def test_cocycle_key_that_is_not_an_edge(self):
+        q = qio.parse_quiver_document(SWAP_QUIVER)
+        doc = {"group": Z2, "map": {"a": "1", "yy": "0", "b": "0", "zz": "1"}}
+        with pytest.raises(qio.ParseError) as info:
+            qio.parse_cocycle_document(doc, q)
+        assert str(info.value) == "cocycle document: 'yy' is not an edge"
+
+
+@pytest.mark.parametrize("command", ["skew", "verify", "invariants"])
+def test_a_cocycle_key_that_is_not_an_edge_exits_2(tmp_path, capsys, command):
+    qf = write(tmp_path / "q.json", SWAP_QUIVER)
+    kf = write(tmp_path / "k.json", {"group": Z2, "map": {"a": "1", "b": "0", "zz": "1"}})
+    argv = [command, qf, "--cocycle", kf] if command == "invariants" else [command, qf, kf]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "parse error: cocycle document: 'zz' is not an edge\n")
 
 
 class TestSharedGroups:
