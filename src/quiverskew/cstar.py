@@ -30,16 +30,20 @@ class CStarError(ValueError):
 
 
 def _topological_order(q):
-    """The vertices with every edge's source before its range (Kahn's
+    """The vertex indices with every edge's source before its range (Kahn's
     algorithm), or None when the quiver has a directed cycle."""
-    indeg = {v: len(q.in_edges(v)) for v in q.vertices}
-    order = [v for v in q.vertices if indeg[v] == 0]
+    n, out, rng = len(q.vertices), q.index.out, q.index.rng
+    indeg = [0] * n
+    for r in rng:
+        indeg[r] += 1
+    order = [v for v in range(n) if not indeg[v]]
     for v in order:  # grows while it is read
-        for e in q.out_edges(v):
-            indeg[e.rng] -= 1
-            if indeg[e.rng] == 0:
-                order.append(e.rng)
-    return order if len(order) == len(q.vertices) else None
+        for i in out[v]:
+            r = rng[i]
+            indeg[r] -= 1
+            if not indeg[r]:
+                order.append(r)
+    return order if len(order) == n else None
 
 
 def is_acyclic(q):
@@ -49,16 +53,15 @@ def is_acyclic(q):
 
 def regular_vertices(q):
     """Vertices receiving at least one edge, in input order."""
-    return tuple(v for v in q.vertices if q.in_edges(v))
+    return tuple(map(q.vertices.__getitem__, sorted(set(q.index.rng))))
 
 
 def vertex_matrix(q):
     """A[v][w] = number of edges from w to v, over the declared vertex order."""
-    idx = {v: i for i, v in enumerate(q.vertices)}
     n = len(q.vertices)
     A = [[0] * n for _ in range(n)]
-    for e in q.edges:
-        A[idx[e.rng]][idx[e.src]] += 1
+    for s, r in zip(q.index.src, q.index.rng):
+        A[r][s] += 1
     return A
 
 
@@ -73,13 +76,13 @@ def _path_counts(q, start, step):
     order = _topological_order(q)
     if order is None:
         raise CStarError("path counts require an acyclic quiver")
-    F = {}
+    out, rng, F = q.index.out, q.index.rng, {}
     for u in reversed(order):
-        c = F[u] = Counter({start(u): 1})
-        for e in q.out_edges(u):
-            for x, n in F[e.rng].items():
-                c[step(x, e)] += n
-    return F
+        c = F[u] = Counter({start(q.vertices[u]): 1})
+        for i in out[u]:
+            for x, n in F[rng[i]].items():
+                c[step(x, q.edges[i])] += n
+    return {q.vertices[u]: c for u, c in F.items()}
 
 
 def path_counts(q):
@@ -294,14 +297,14 @@ def k_theory(q):
     the dense residual is then computed.  Convention is anchored by the
     3-loop quiver, whose K0 must be Z/2.
     """
-    idx = {v: i for i, v in enumerate(q.vertices)}
-    reg = regular_vertices(q)
+    ix = q.index
+    reg = sorted(set(ix.rng))
     col = {v: c for c, v in enumerate(reg)}
     rows = [{} for _ in q.vertices]
     for v, c in col.items():
-        rows[idx[v]][c] = -1
-    for e in q.edges:
-        row, c = rows[idx[e.src]], col[e.rng]
+        rows[v][c] = -1
+    for s, r in zip(ix.src, ix.rng):
+        row, c = rows[s], col[r]
         row[c] = row.get(c, 0) + 1
     rows = [{j: a for j, a in row.items() if a} for row in rows]
     units, residual = _unit_pivots(rows, len(reg))

@@ -200,12 +200,6 @@ class QuiverAction(namedtuple("QuiverAction", "group vperm eperm")):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def act_v(self, v, g):
-        return self.vperm[g][v]
-
-    def act_e(self, eid, g):
-        return self.eperm[g][eid]
-
 
 def _getter(keys):
     """itemgetter(*keys), returning a tuple for any number of keys."""
@@ -239,10 +233,9 @@ class _Side(namedtuple("_Side", "kind items pos tables")):
 class _Facts:
     """All that the action a determines on the quiver q, built once per pair by ``_facts``.
 
-    The index view: ``vertices`` and ``edges`` are a ``_Side`` each; src, rng and weight
-    give each edge's source, range and weight class, and ``weight_class`` maps a weight's
-    (numerator, denominator) to its class.  ``error`` names the first table (g outer,
-    vertices first) that is not a permutation of q's items; then ``report`` is [error]
+    The index view: ``vertices`` and ``edges`` are a ``_Side`` each, numbered as
+    ``q.index`` numbers them.  ``error`` names the first table (g outer, vertices
+    first) that is not a permutation of q's items; then ``report`` is [error]
     and the rest is None.  Else ``report`` is validate_action's, ``free`` is
     freeness on vertices, ``orbits`` the vertex and edge orbits, and ``quotient`` and
     ``proj`` the orbit quiver and the projection onto it (None unless valid and free).
@@ -250,15 +243,10 @@ class _Facts:
 
     def __init__(self, q, a):
         self.quiver = q  # the memo is keyed by id(q): holding q keeps that id from being reused
-        self.vertices, self.edges = sides = [
-            _Side(kind, items, {x: i for i, x in enumerate(items)}, {})
-            for kind, items in (("vertex", q.vertices), ("edge", tuple(e.id for e in q.edges)))]
-        vpos, classes = self.vertices.pos, {}
-        self.src = tuple(vpos[e.src] for e in q.edges)
-        self.rng = tuple(vpos[e.rng] for e in q.edges)
-        self.weight = tuple(classes.setdefault(e.weight.as_integer_ratio(), len(classes))
-                            for e in q.edges)
-        self.weight_class = classes
+        ids = tuple(e.id for e in q.edges)
+        self.vertices, self.edges = sides = (
+            _Side("vertex", q.vertices, q.index.pos, {}),
+            _Side("edge", ids, {x: i for i, x in enumerate(ids)}, {}))
         self.error = self.free = self.orbits = self.quotient = self.proj = None
         for g in a.group.elements:
             for side, perms in zip(sides, (a.vperm, a.eperm)):
@@ -279,11 +267,11 @@ class _Facts:
         if self.report or not self.free:
             return
         v_rep, e_rep = ({x: orb[0] for orb in parts for x in orb} for parts in self.orbits)
-        edges = []
+        edges, epos, weight = [], self.edges.pos, q.index.weight
         for orb in self.orbits[1]:
-            rep = q.edge(orb[0])
+            rep = q.edges[epos[orb[0]]]
             # Equivariance of the weights makes the descent well defined.
-            assert len({self.weight[self.edges.pos[eid]] for eid in orb}) == 1
+            assert len({weight[epos[eid]] for eid in orb}) == 1
             edges.append(Edge(orb[0], v_rep[rep.src], v_rep[rep.rng], rep.weight))
         self.quotient = FiniteQuiver([orb[0] for orb in self.orbits[0]], edges)
         self.proj = QuiverMorphism(v_rep, e_rep)
@@ -303,7 +291,8 @@ class _Facts:
                     if _getter(t[g])(t[s]) != t[gs]:
                         report.append(f"{side.kind} homomorphism law fails at ({g!r},{s!r})")
                         break
-        src, rng, weight = self.src, self.rng, self.weight
+        ix = q.index
+        src, rng, weight = ix.src, ix.rng, ix.weight
         of_src, of_rng = _getter(src), _getter(rng)
         for s in G.generators:
             vs, es = self.vertices.tables[s], self.edges.tables[s]

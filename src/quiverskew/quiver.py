@@ -8,6 +8,7 @@ never a float tolerance.
 
 from fractions import Fraction
 from collections import Counter, deque, namedtuple
+from functools import cached_property
 
 
 class QuiverError(ValueError):
@@ -43,33 +44,36 @@ class Edge(namedtuple("Edge", "id src rng weight")):
 
 
 class FiniteQuiver:
-    """A finite quiver with ordered vertices/edges.
+    """A finite quiver: its ``vertices`` and ``edges``, as tuples in input order.
 
     Construction is permissive (so that ``validate_quiver`` can report
     problems); every other operation assumes a quiver that validates.
     Iteration order everywhere is the declared input order, which makes all
-    downstream operations deterministic.
+    downstream operations deterministic.  ``index`` is built on first use.
     """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
-        self.edges = tuple(
-            e if isinstance(e, Edge) else Edge(*e) for e in edges
-        )
-        self._vset = set(self.vertices)
-        self._edge_by_id = {}
-        for e in self.edges:
-            self._edge_by_id.setdefault(e.id, e)
-        self._out = {v: [] for v in self.vertices}
-        self._in = {v: [] for v in self.vertices}
-        for e in self.edges:
-            if e.src in self._out:
-                self._out[e.src].append(e)
-            if e.rng in self._in:
-                self._in[e.rng].append(e)
+        self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
 
-    def has_vertex(self, v):
-        return v in self._vset
+    @cached_property
+    def index(self):
+        """The quiver numbered once, for every layer that reads it by position: ``pos``
+        maps a vertex to its index; per edge, ``src`` and ``rng`` give its ends' indices
+        and ``weight`` its class, where ``classes`` numbers each (numerator, denominator)
+        in order of first use; ``out`` lists per vertex its out-edges' positions."""
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        _, srcs, rngs, weights = zip(*self.edges) if self.edges else ((),) * 4
+        src, rng = (tuple(map(pos.__getitem__, ends)) for ends in (srcs, rngs))
+        classes, out = {}, [[] for _ in self.vertices]
+        for i, s in enumerate(src):
+            out[s].append(i)
+        weight = tuple(classes.setdefault(w.as_integer_ratio(), len(classes)) for w in weights)
+        return _Index(pos, src, rng, weight, classes, tuple(map(tuple, out)))
+
+    @cached_property
+    def _edge_by_id(self):
+        return {e.id: e for e in reversed(self.edges)}  # a repeated id names its first edge
 
     def edge(self, eid):
         return self._edge_by_id[eid]
@@ -78,10 +82,8 @@ class FiniteQuiver:
         return eid in self._edge_by_id
 
     def out_edges(self, v):
-        return self._out[v]
-
-    def in_edges(self, v):
-        return self._in[v]
+        """A fresh list of the edges with source v, in input order."""
+        return [self.edges[i] for i in self.index.out[self.index.pos[v]]]
 
     def with_weights(self, weights):
         """Copy of this quiver with edge weights replaced by ``weights[eid]``."""
@@ -108,6 +110,7 @@ class FiniteQuiver:
 QuiverMorphism = namedtuple("QuiverMorphism", "vmap emap")
 # An isomorphism, by its forward QuiverMorphism.
 QuiverIso = namedtuple("QuiverIso", "forward")
+_Index = namedtuple("_Index", "pos src rng weight classes out")
 
 
 def validate_quiver(q):
@@ -138,7 +141,7 @@ def check_morphism(src_q, dst_q, m):
     Raises QuiverError if m references ids unknown to either quiver.
     """
     for kind, items, mapping, known in (
-        ("vertex", src_q.vertices, m.vmap, dst_q.has_vertex),
+        ("vertex", src_q.vertices, m.vmap, set(dst_q.vertices).__contains__),
         ("edge", [e.id for e in src_q.edges], m.emap, dst_q.has_edge),
     ):
         for x in items:
@@ -340,7 +343,8 @@ def iso_search(a, b, budget=200_000):
     ``budget`` nodes raises ``IsoBudgetExceeded``.  When each colour is one
     (a, b) pair, that bijection is accepted if it carries a's edge multiset
     (src, rng, weight) onto b's.  Deterministic given input order; every
-    result is checked by ``check_iso``.
+    result is checked by ``check_iso``.  Weights are read as the classes of
+    a's ``index``, so a weight of b that a lacks gives None at once.
 
     Before it first backtracks, the search returns None unless a and b have
     the same multiset of weakly connected component shapes (vertex and edge
@@ -353,15 +357,16 @@ def iso_search(a, b, budget=200_000):
     n = len(a.vertices)
     if n != len(b.vertices) or len(a.edges) != len(b.edges):
         return None
-    weight_ids = {}
+    ia, ib = a.index, b.index
+    # A weight's code is its class in a plus 1, so that +w and -w differ.
+    codes = range(1, len(ia.classes) + 1), [ia.classes.get(k, -1) + 1 for k in ib.classes]
+    if 0 in codes[1]:  # a weight of b that a lacks
+        return None
     adj = [[] for _ in range(2 * n)]
     triples = ([], [])
-    for side, q in enumerate((a, b)):
-        index = {v: side * n + i for i, v in enumerate(q.vertices)}
-        for e in q.edges:
-            w = weight_ids.setdefault((e.weight.numerator, e.weight.denominator),
-                                      len(weight_ids) + 1)
-            s, r = index[e.src], index[e.rng]
+    for side, ix in enumerate((ia, ib)):
+        for s, r, c in zip(ix.src, ix.rng, ix.weight):
+            s, r, w = s + side * n, r + side * n, codes[side][c]
             adj[s].append((r, -w))
             adj[r].append((s, w))
             triples[side].append((s, r, w))

@@ -182,10 +182,11 @@ def _is_skew_witness(facts, quot, kappa, phi, sigma):
         if not len(table) == len(pairs) == len(ids) * G.order or (
                 set(pairs) != set(itertools.product(ids, G.elements))):
             return False
+    ix = facts.quiver.index
     rule = {o.id: (o.src, o.rng, G.table[kappa.map[o.id]],
-                   facts.weight_class.get(o.weight.as_integer_ratio())) for o in quot.edges}
-    of_src, of_rng = _getter(facts.src), _getter(facts.rng)
-    for (o, g), at_src, at_rng, w in zip(sigmas, of_src(phis), of_rng(phis), facts.weight):
+                   ix.classes.get(o.weight.as_integer_ratio())) for o in quot.edges}
+    of_src, of_rng = _getter(ix.src), _getter(ix.rng)
+    for (o, g), at_src, at_rng, w in zip(sigmas, of_src(phis), of_rng(phis), ix.weight):
         src, rng, times, w_o = rule[o]
         if at_src != (src, g) or at_rng != (rng, times[g]) or w != w_o:
             return False
@@ -227,11 +228,11 @@ def gross_tucker_reconstruct(q, a, section=None):
     # g_v: the unique translator from the section point to v (freeness).
     g_of = {t[b]: g for b in map(V.pos.__getitem__, rep.values()) for g, t in V.tables.items()}
     v_orb, v_g = _getter(V.items)(proj.vmap), _getter(range(len(V.items)))(g_of)
-    e_orb, e_g = _getter(E.items)(proj.emap), _getter(facts.src)(g_of)
+    e_orb, e_g = _getter(E.items)(proj.emap), _getter(q.index.src)(g_of)
     phi = dict(zip(V.items, zip(v_orb, v_g)))
     sigma = dict(zip(E.items, zip(e_orb, e_g)))
 
-    kmap = {o: g_of[r] for o, g, r in zip(e_orb, e_g, facts.rng) if g == G.identity}
+    kmap = {o: g_of[r] for o, g, r in zip(e_orb, e_g, q.index.rng) if g == G.identity}
     kappa = Cocycle(G, {o.id: kmap[o.id] for o in quot.edges})
 
     if not _is_skew_witness(facts, quot, kappa, phi, sigma):

@@ -29,12 +29,12 @@ from .quiver import check_iso
 from .group import edge_free, is_free, orbits, validate_action
 from .skew import (
     Section,
+    _copies,
     _first_factor_iso,
     gross_tucker_reconstruct,
     lift_system,
     quotient_quiver,
     skew_product,
-    skew_vertex_id,
     translation_action,
 )
 from .cstar import (
@@ -140,7 +140,7 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
 
         def chk_graded():
             dims = graded_dimensions(q, kappa)
-            layer = {skew_vertex_id(v, g): g for v in q.vertices for g in G.elements}
+            layer = {x: g for copies in _copies(q, G)[0].values() for g, x in copies.items()}
             into = _path_counts(skew, layer.__getitem__, lambda x, e: x)
             corner = sum(into[u][G.identity] ** 2 for u in skew.vertices if u not in reg)
             _require(dims[G.identity] == corner, f"{dims[G.identity]} != {corner}")

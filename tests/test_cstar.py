@@ -33,6 +33,15 @@ from quiverskew.randgen import random_acyclic_quiver, random_cocycle, random_qui
 from conftest import chain, deadline, mk, orbit_fused_blocks, path_range, paths_from
 
 
+def test_a_caller_that_clears_out_edges_changes_no_later_result():
+    q = FiniteQuiver(["u", "v"], [("a", "u", "v", 1)])
+    q.out_edges("u").clear()
+    assert path_counts(q) == {"v": 1, "u": 2}
+    assert regular_vertices(q) == ("v",)
+    assert k_theory(q) == KTheory((), 1, 0)
+    assert [e.id for e in q.out_edges("u")] == ["a"]
+
+
 def o_n_quiver(n):
     """One vertex with n loops."""
     return mk(["v"], [(f"e{i}", "v", "v", 1) for i in range(n)])

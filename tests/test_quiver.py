@@ -24,8 +24,9 @@ from quiverskew import (
     skew_product,
     validate_quiver,
 )
+from quiverskew import io as qio
 from quiverskew.quiver import QuiverError, _bijection
-from quiverskew.randgen import random_cocycle
+from quiverskew.randgen import random_cocycle, random_quiver
 
 from conftest import brute_iso_exists, deadline, mk, random_base
 
@@ -77,6 +78,65 @@ def test_edge_keeps_the_fraction_it_is_given():
     w = Fraction(3, 7)
     assert Edge("e", "v", "v", w).weight is w
     assert Edge("e", "v", "v", 2).weight == Fraction(2)
+
+
+def index_cases():
+    """Seeded random_quiver draws, then parallel edges and loops, and equal
+    weights held in distinct Fraction objects."""
+    rng = random.Random(0)
+    draws = [pytest.param(random_quiver(rng), id=f"draw{i}") for i in range(60)]
+    half, also_half = Fraction(1, 2), Fraction(3, 6)
+    assert half is not also_half
+    return draws + [
+        pytest.param(mk(["u", "v"], [("a", "u", "v", 1), ("b", "u", "v", 1), ("c", "v", "v", 2),
+                                     ("d", "v", "v", 2), ("e", "v", "u", "2/3")]),
+                     id="parallel-edges-and-loops"),
+        pytest.param(FiniteQuiver(["x", "y", "z"], [
+            Edge("p", "y", "x", half), Edge("q", "x", "y", also_half),
+            Edge("r", "x", "x", Fraction(2)), Edge("s", "y", "y", 2)]),
+            id="equal-weights-in-distinct-objects"),
+        pytest.param(mk(["lonely"], []), id="no-edges"),
+    ]
+
+
+@pytest.mark.parametrize("q", index_cases())
+def test_index_against_a_scan_of_the_tuples(q):
+    ix = q.index
+    assert list(ix.pos.items()) == [(v, i) for i, v in enumerate(q.vertices)]
+    assert [q.vertices[i] for i in ix.src] == [e.src for e in q.edges]
+    assert [q.vertices[i] for i in ix.rng] == [e.rng for e in q.edges]
+    for (i, e), (j, f) in itertools.product(enumerate(q.edges), repeat=2):
+        assert (ix.weight[i] == ix.weight[j]) == (e.weight == f.weight)
+    assert [ix.classes[e.weight.as_integer_ratio()] for e in q.edges] == list(ix.weight)
+    assert sorted(ix.classes.values()) == list(range(len(ix.classes)))
+    for v in q.vertices:
+        assert q.out_edges(v) == [e for e in q.edges if e.src == v]
+
+
+def test_a_quiver_holds_its_two_tuples_until_a_reader_runs():
+    q = FiniteQuiver(["u", "v"], [("a", "u", "v", 1)])
+    assert validate_quiver(q) == [] and q == FiniteQuiver(q.vertices, q.edges)
+    hash(q)
+    assert set(vars(q)) == {"vertices", "edges"}
+    q.out_edges("u")
+    assert set(vars(q)) == {"vertices", "edges", "index"}
+
+
+def test_a_repeated_edge_id_names_its_first_edge():
+    q = mk(["v"], [("e", "v", "v", 1), ("e", "v", "v", 2)])
+    assert q.edge("e") is q.edges[0]
+    assert q.has_edge("e") and not q.has_edge("f")
+
+
+def test_a_quiver_that_fails_validation_can_be_read_and_written():
+    q = mk(["v", "v"], [("e", "v", "x", 1), ("e", "y", "v", 2)])
+    assert validate_quiver(q) == [
+        "duplicate vertex id: 'v'", "dangling endpoint: edge 'e' has rng 'x'",
+        "duplicate edge id: 'e'", "dangling endpoint: edge 'e' has src 'y'"]
+    assert q.edge("e") is q.edges[0] and q.has_edge("e")
+    assert qio.emit_quiver_document(q)["edges"][1] == {"id": "e", "src": "y", "rng": "v",
+                                                      "weight": "2"}
+    assert '"y" -> "v" [label="e:2"];' in qio.export_dot(q)
 
 
 class TestCheckMorphism:
@@ -249,6 +309,14 @@ class TestIsoSearch:
         a = mk(["v"], [("e", "v", "v", 1)])
         b = mk(["v"], [("e", "v", "v", 2)])
         assert iso_search(a, b) is None
+
+    @pytest.mark.parametrize("b_weights", [(1, 3), (2, 2), (1, 1)])
+    def test_only_the_weights_differ(self, b_weights):
+        a = mk(["v", "w"], [("a", "v", "w", 1), ("b", "w", "v", 2)])
+        b = mk(["v", "w"], [("a", "v", "w", b_weights[0]), ("b", "w", "v", b_weights[1])])
+        assert not brute_iso_exists(a, b)
+        assert iso_search(a, b) is None
+        assert iso_search(b, a) is None
 
     def test_parallel_edges(self):
         a = mk(["v", "w"], [("a", "v", "w", 1), ("b", "v", "w", "2/3")])

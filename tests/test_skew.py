@@ -144,7 +144,7 @@ class TestTranslationAction:
         act = translation_action(q, kappa)
         for e in skew.edges:
             for h in g.elements:
-                assert skew.edge(act.act_e(e.id, h)).weight == e.weight
+                assert skew.edge(act.eperm[h][e.id]).weight == e.weight
 
 
 def swap_loops_action(w1=1, w2=1):
