@@ -6,12 +6,14 @@ paths emanating from that vertex.  For arbitrary finite quivers the
 K-groups come from the Smith normal form of the vertex matrix minus the
 identity, restricted to regular columns.  That matrix is very sparse and
 most of its entries are +-1, so ``k_theory`` first eliminates unit pivots
-on the sparse matrix, cheapest first, and only then runs the dense Smith
-normal form, on the small residual the unit pivots leave.  Weights never
-enter: these invariants depend only on the underlying multigraph.
+on the sparse matrix: those alone in their row or column, which make no
+fill-in, from a worklist, and the rest from a heap in rough Markowitz order.
+Only then does it run the dense Smith normal form, on the small residual
+the unit pivots leave.  Weights never enter: these invariants depend only
+on the underlying multigraph.
 
 Paths are counted, never listed: one pass in reverse topological order
-gives, for each vertex, the number of paths from it of each degree.  The
+gives, for each vertex, the number of paths from it, or of each degree.  The
 block checks in ``verify`` compare a skew product's counts with the base's:
 its blocks, its counts summed over translation orbits, and its counts into
 the identity layer (see there).
@@ -65,6 +67,14 @@ def vertex_matrix(q):
     return A
 
 
+def _reverse_topological(q):
+    """The vertex indices in reverse topological order, or CStarError on a cycle."""
+    order = _topological_order(q)
+    if order is None:
+        raise CStarError("path counts require an acyclic quiver")
+    return reversed(order)
+
+
 def _path_counts(q, start, step):
     """For each vertex u, a Counter of the paths with source u by degree,
     from one pass in reverse topological order.
@@ -73,11 +83,8 @@ def _path_counts(q, start, step):
     out-edge of u and p a path with source r(e), has degree step(deg p, e).
     Raises CStarError on a quiver with a cycle, whose paths are infinite.
     """
-    order = _topological_order(q)
-    if order is None:
-        raise CStarError("path counts require an acyclic quiver")
     out, rng, F = q.index.out, q.index.rng, {}
-    for u in reversed(order):
+    for u in _reverse_topological(q):
         c = F[u] = Counter({start(q.vertices[u]): 1})
         for i in out[u]:
             for x, n in F[rng[i]].items():
@@ -86,8 +93,13 @@ def _path_counts(q, start, step):
 
 
 def path_counts(q):
-    """Number of paths with source v, for each vertex v of an acyclic quiver."""
-    return {v: c[0] for v, c in _path_counts(q, lambda v: 0, lambda x, e: 0).items()}
+    """Number of paths with source v, for each vertex v of an acyclic quiver:
+    1 + the sum of the counts at r(e) over the out-edges e of v."""
+    out, rng = q.index.out, q.index.rng
+    count = [0] * len(q.vertices)
+    for u in _reverse_topological(q):
+        count[u] = 1 + sum([count[rng[i]] for i in out[u]])
+    return dict(zip(q.vertices, count))
 
 
 class BlockStructure(namedtuple("BlockStructure", "blocks")):
@@ -227,52 +239,68 @@ def _smith_diagonal(A, U=None, V=None):
 
 
 def _unit_pivots(rows, ncols):
-    """Eliminate the unit pivots of a sparse integer matrix, cheapest first.
+    """Eliminate the unit pivots of a sparse integer matrix, fill-free ones first.
 
     ``rows`` holds one dict per row, column -> nonzero entry, and is
-    consumed.  Each step takes an entry +-1 of least Markowitz cost
-    (row length - 1) * (column length - 1), clears the rest of its column
-    by exact row operations and drops its row and column; since SNF(I_k + R)
-    is I_k + SNF(R), each step puts one 1 on the diagonal.  Candidates wait
-    in a heap under the cost they had when pushed: a popped candidate that
-    is no longer a unit is skipped, and one whose cost has grown is pushed
-    back.  A cost that has fallen is not seen, so the order is Markowitz
-    order only roughly; the diagonal does not depend on it.  Returns the
-    number of pivots and the dense residual, without its zero rows and
-    columns, in which no entry is +-1.
+    consumed.  A pivot +-1 clears the rest of its column by exact row
+    operations and drops its row and column; since SNF(I_k + R) is
+    I_k + SNF(R), each pivot puts one 1 on the diagonal.  A +-1 alone in its
+    row or column has Markowitz cost 0 and makes no fill-in: the rest of its
+    column (or row) is deleted.  Rows and columns of one entry, at the start
+    or once they shrink to it, wait on a worklist; a lone entry that is not
+    +-1 is skipped.  Only when the worklist is empty is a pivot taken from a
+    heap of the live rows' units, and of each unit a fill-in makes later,
+    under the Markowitz cost (row length - 1) * (column length - 1) it had
+    when pushed: a popped candidate that is no longer a unit is skipped, one
+    whose cost has grown is pushed back, and a cost that has fallen is not
+    seen.  The diagonal does not depend on the order.  Returns the number of
+    pivots and the dense residual, without its zero rows and columns, in
+    which no entry is +-1.
     """
     cols = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
 
-    def candidates(i):
-        row = rows[i]
-        return [((len(row) - 1) * (len(cols[j]) - 1), i, j)
-                for j, a in row.items() if a == 1 or a == -1]
-
-    heap = [x for i in range(len(rows)) for x in candidates(i)]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        row = rows[r]
-        if row is None or row.get(c) not in (1, -1):
-            continue
-        now = (len(row) - 1) * (len(cols[c]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, r, c))
-            continue
+    # Row i waits on the worklist as i, column j as ~j.
+    work = [i for i, row in enumerate(rows) if len(row) == 1]
+    work += [~j for j, col in enumerate(cols) if len(col) == 1]
+    heap, units = None, 0
+    while True:
+        if work:
+            x = work.pop()
+            line = cols[~x] if x < 0 else rows[x]
+            if line is None or len(line) != 1:
+                continue
+            (k,) = line
+            r, c = (k, ~x) if x < 0 else (x, k)
+            if rows[r][c] not in (1, -1):
+                continue
+        else:
+            if heap is None:
+                heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j) for i, row in enumerate(rows)
+                        if row for j, a in row.items() if a == 1 or a == -1]
+                heapq.heapify(heap)
+            if not heap:
+                break
+            cost, r, c = heapq.heappop(heap)
+            row = rows[r]
+            if row is None or row.get(c) not in (1, -1):
+                continue
+            now = (len(row) - 1) * (len(cols[c]) - 1)
+            if now > cost:
+                heapq.heappush(heap, (now, r, c))
+                continue
         units += 1
-        rows[r] = None
+        row, rows[r] = rows[r], None
         for j in row:
             cols[j].discard(r)
         p = row.pop(c)
         others, cols[c] = cols[c], set()
-        for i in others:
+        for i in others:  # none left when (r, c) is alone in its column
             target = rows[i]
             f = target.pop(c) * p
-            for j, a in row.items():
+            for j, a in row.items():  # empty when (r, c) is alone in its row
                 b = target.get(j, 0) - f * a
                 if b:
                     if j not in target:
@@ -281,8 +309,12 @@ def _unit_pivots(rows, ncols):
                 else:
                     del target[j]
                     cols[j].discard(i)
-            for x in candidates(i):
-                heapq.heappush(heap, x)
+            if len(target) == 1:
+                work.append(i)
+            for j in row:  # the entries the fill-in changed
+                if target.get(j) in (1, -1):
+                    heapq.heappush(heap, ((len(target) - 1) * (len(cols[j]) - 1), i, j))
+        work += [~j for j in row if len(cols[j]) == 1]
     live = [j for j in range(ncols) if cols[j]]
     return units, [[row.get(j, 0) for j in live] for row in rows if row]
 

@@ -243,10 +243,9 @@ class _Facts:
 
     def __init__(self, q, a):
         self.quiver = q  # the memo is keyed by id(q): holding q keeps that id from being reused
-        ids = tuple(e.id for e in q.edges)
         self.vertices, self.edges = sides = (
             _Side("vertex", q.vertices, q.index.pos, {}),
-            _Side("edge", ids, {x: i for i, x in enumerate(ids)}, {}))
+            _Side("edge", tuple(e.id for e in q.edges), q._edge_pos, {}))
         self.error = self.free = self.orbits = self.quotient = self.proj = None
         for g in a.group.elements:
             for side, perms in zip(sides, (a.vperm, a.eperm)):

@@ -49,7 +49,8 @@ class FiniteQuiver:
     Construction is permissive (so that ``validate_quiver`` can report
     problems); every other operation assumes a quiver that validates.
     Iteration order everywhere is the declared input order, which makes all
-    downstream operations deterministic.  ``index`` is built on first use.
+    downstream operations deterministic.  ``index`` is built on first use,
+    unless the builder that numbered the quiver hands it over (``_indexed``).
     """
 
     def __init__(self, vertices, edges):
@@ -71,15 +72,24 @@ class FiniteQuiver:
         weight = tuple(classes.setdefault(w.as_integer_ratio(), len(classes)) for w in weights)
         return _Index(pos, src, rng, weight, classes, tuple(map(tuple, out)))
 
+    @classmethod
+    def _indexed(cls, vertices, edges, index):
+        """The quiver of the tuples ``vertices`` and ``edges`` (of ``Edge``), with
+        ``index`` as its view, for a builder that numbers them as it builds them."""
+        q = cls.__new__(cls)
+        q.vertices, q.edges, q.index = vertices, edges, index
+        return q
+
     @cached_property
-    def _edge_by_id(self):
-        return {e.id: e for e in reversed(self.edges)}  # a repeated id names its first edge
+    def _edge_pos(self):
+        """{edge id: position}; a repeated id names its first edge."""
+        return {e.id: i for i, e in reversed(list(enumerate(self.edges)))}
 
     def edge(self, eid):
-        return self._edge_by_id[eid]
+        return self.edges[self._edge_pos[eid]]
 
     def has_edge(self, eid):
-        return eid in self._edge_by_id
+        return eid in self._edge_pos
 
     def out_edges(self, v):
         """A fresh list of the edges with source v, in input order."""

@@ -9,6 +9,8 @@ action arises this way once a section of the vertex orbits is chosen.
 One builder, ``_copies``, names the copies (x, h) ``x@h``, vertices then
 edges in input order and h in G.elements order, for the skew product, its
 translation action, the first-factor map and the Gross-Tucker witness.
+``skew_product`` writes the product's index view, from the base's, in the
+loop that builds its tuples: the product is never numbered from its ids.
 The Gross-Tucker witness is checked against this defining rule, edge by
 edge on the index view, not against a skew product built to compare with:
 bijections onto V x G and E x G that send each edge to a copy with the
@@ -29,6 +31,7 @@ from .quiver import (
     FiniteQuiver,
     QuiverIso,
     QuiverMorphism,
+    _Index,
     check_iso,
 )
 from .group import QuiverAction, _facts, _getter, orbits
@@ -71,18 +74,32 @@ def _copies(q, G):
 
 
 def skew_product(q, kappa):
-    """The skew product quiver q x_kappa G with canonical pair ids v@g, e@g."""
+    """The skew product quiver q x_kappa G with canonical pair ids v@g, e@g.
+
+    Its index view is written with its tuples: copy (v, h) is vertex v*|G| +
+    (position of h in G.elements), edge (e, g) is edge e*|G| + (position of g),
+    and edge (e, g) has e's weight class in q's view."""
     G = kappa.group
-    elements = set(G.elements)
+    n, at = G.order, {h: j for j, h in enumerate(G.elements)}
     vcopies, ecopies = _copies(q, G)
-    edges = []
-    for e in q.edges:
-        k, src, rng = kappa.value(e.id), vcopies[e.src], vcopies[e.rng]
-        if k not in elements:
+    vids = tuple(x for v in q.vertices for x in vcopies[v].values())
+    ix = q.index
+    edges, src, rng, out = [], [], [], [[] for _ in vids]
+    for e, s, r in zip(q.edges, ix.src, ix.rng):
+        k = kappa.value(e.id)
+        if k not in at:
             raise SkewError(f"cocycle value for edge {e.id!r} is not a group element")
-        for g, x in ecopies[e.id].items():
-            edges.append(Edge(x, src[g], rng[G.mul(k, g)], e.weight))
-    return FiniteQuiver([x for v in q.vertices for x in vcopies[v].values()], edges)
+        times, s, r = G.table[k], s * n, r * n
+        for j, (g, x) in enumerate(ecopies[e.id].items()):
+            a, b = s + j, r + at[times[g]]
+            out[a].append(len(src))
+            edges.append(Edge._make((x, vids[a], vids[b], e.weight)))
+            src.append(a)
+            rng.append(b)
+    view = _Index({x: i for i, x in enumerate(vids)}, tuple(src), tuple(rng),
+                  tuple([c for c in ix.weight for _ in range(n)]), dict(ix.classes),
+                  tuple(map(tuple, out)))
+    return FiniteQuiver._indexed(vids, tuple(edges), view)
 
 
 def translation_action(q, kappa):

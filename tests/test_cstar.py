@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from quiverskew import (
 )
 from quiverskew import io as qio
 from quiverskew.cli import main
-from quiverskew.cstar import CStarError, KTheory, _smith_diagonal
+from quiverskew.cstar import CStarError, KTheory, _smith_diagonal, _unit_pivots
 from quiverskew.quiver import Edge, FiniteQuiver
 from quiverskew.randgen import random_acyclic_quiver, random_cocycle, random_quiver
 
@@ -281,6 +282,84 @@ class TestKTheory:
     def test_agrees_with_dense_elimination(self, q):
         M = k_theory_matrix(q)
         assert k_theory(q) == k_theory_from(M, _smith_diagonal(M))
+
+
+def dense_rank(M):
+    return sum(1 for d in _smith_diagonal([list(row) for row in M]) if d)
+
+
+def unit_pivots(q):
+    """_unit_pivots on the dense k_theory_matrix of q, given as sparse rows."""
+    M = k_theory_matrix(q)
+    return _unit_pivots([{j: a for j, a in enumerate(row) if a} for row in M],
+                        len(regular_vertices(q)))
+
+
+def cycle_with_tail(n, into):
+    """A directed n-cycle c0..c{n-1} and a directed path t0..t{n-1} joined by
+    one edge: t{n-1} -> c0 when ``into``, else c0 -> t0."""
+    cs, ts = [f"c{i}" for i in range(n)], [f"t{i}" for i in range(n)]
+    edges = [(f"c{i}", cs[i], cs[(i + 1) % n], 1) for i in range(n)]
+    edges += [(f"t{i}", ts[i], ts[i + 1], 1) for i in range(n - 1)]
+    edges.append(("x", ts[-1], cs[0], 1) if into else ("x", cs[0], ts[0], 1))
+    return mk(cs + ts, edges)
+
+
+class TestUnitPivots:
+    """A +-1 alone in its row or column is taken from the worklist; the heap
+    sees only what the worklist leaves."""
+
+    @pytest.fixture
+    def heap_pops(self, monkeypatch):
+        pops = []
+        pop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or pop(heap))
+        return pops
+
+    def test_a_non_unit_row_singleton_is_skipped(self):
+        # Row s is {t: 2}: it is skipped, and the -1 of row t is pivoted.
+        q = mk(["s", "t"], [("a", "s", "t", 1), ("b", "s", "t", "1/2")])
+        assert unit_pivots(q) == (1, [])
+        M = k_theory_matrix(q)
+        assert k_theory(q) == k_theory_from(M, _smith_diagonal(M)) == KTheory((), 1, 0)
+
+    def test_a_non_unit_column_singleton_reaches_the_dense_form(self):
+        q = o_n_quiver(3)
+        assert unit_pivots(q) == (0, [[2]])
+        M = k_theory_matrix(q)
+        assert k_theory(q) == k_theory_from(M, _smith_diagonal(M)) == KTheory((2,), 0, 0)
+
+    def test_a_loop_cancels_to_zero(self):
+        q = o_n_quiver(1)
+        assert unit_pivots(q) == (0, [])
+        M = k_theory_matrix(q)
+        assert k_theory(q) == k_theory_from(M, _smith_diagonal(M)) == KTheory((), 1, 1)
+
+    def test_a_long_path_cascades_through_the_worklist(self, heap_pops):
+        vs = [f"v{i}" for i in range(5000)]
+        q = mk(vs, [(f"e{i}", vs[i], vs[i + 1], 1) for i in range(len(vs) - 1)])
+        with deadline(2):
+            assert k_theory(q) == KTheory((), 1, 0)
+        assert heap_pops == []
+
+    @pytest.mark.parametrize("into, expect, heap", [
+        (True, KTheory((), 1, 0), False),  # the tail's last pivot opens the cycle
+        (False, KTheory((), 1, 1), True),  # the bare cycle is left to the heap
+    ], ids=["tail-into-cycle", "tail-out-of-cycle"])
+    def test_a_cycle_with_a_tail(self, heap_pops, into, expect, heap):
+        q = cycle_with_tail(12, into)
+        M = k_theory_matrix(q)
+        assert k_theory(q) == k_theory_from(M, _smith_diagonal(M)) == expect
+        del heap_pops[:]
+        assert k_theory(cycle_with_tail(200, into)) == expect
+        assert bool(heap_pops) == heap
+
+    @settings(deadline=None, max_examples=200)
+    @given(multiquivers())
+    def test_no_unit_is_left_and_the_rank_is_kept(self, q):
+        units, residual = unit_pivots(q)
+        assert all(a not in (1, -1) for row in residual for a in row)
+        assert units + dense_rank(residual) == dense_rank(k_theory_matrix(q))
 
 
 class TestAcyclic:

@@ -18,6 +18,7 @@ from quiverskew import (
     default_section,
     gross_tucker_reconstruct,
     is_free,
+    k_theory,
     iso_search,
     lift_system,
     make_cyclic,
@@ -608,3 +609,49 @@ def test_copies_match_reference_on_random_draws():
     for _ in range(240):
         q = random_quiver(rng, 5, 8)
         assert_copies_match_reference(q, random_cocycle(rng, q, rng.choice(groups)))
+
+
+def test_the_products_view_is_the_view_of_its_tuples():
+    # Every field of the view skew_product writes equals the one built from
+    # the product's tuples, in the same order.
+    rng = random.Random("view")
+    groups = [make_cyclic(n) for n in range(2, 7)] + [make_symmetric(3), reversed_s3()]
+    bases = [
+        mk(["u", "v"], []),
+        mk(["v"], [("a", "v", "v", 1), ("b", "v", "v", 1), ("c", "v", "v", "1/2")]),
+        FiniteQuiver(["u", "v"], [Edge("a", "u", "v", Fraction(2, 3)),
+                                  Edge("b", "u", "v", Fraction(4, 6)),
+                                  Edge("c", "v", "u", Fraction(2, 3))]),
+    ]
+    draws = [(q, G) for q in bases for G in groups]
+    draws += [(random_quiver(rng, 5, 8), rng.choice(groups)) for _ in range(120)]
+    for q, G in draws:
+        p = skew_product(q, random_cocycle(rng, q, G))
+        copy = FiniteQuiver(p.vertices, p.edges)
+        view, scan = p.index, copy.index
+        for field, got, want in zip(view._fields, view, scan):
+            assert got == want, field
+        assert list(view.pos) == list(scan.pos)
+        assert list(view.classes) == list(scan.classes)
+        assert k_theory(p) == k_theory(copy)
+        assert iso_search(p, copy) is not None
+
+
+@pytest.mark.parametrize("kmap, message", [
+    ({"b": "7"}, "cocycle undefined on edge 'a'"),
+    ({"a": "7"}, "cocycle value for edge 'a' is not a group element"),
+    ({"a": "1", "b": "7"}, "cocycle value for edge 'b' is not a group element"),
+])
+def test_skew_product_names_the_first_bad_edge(kmap, message):
+    q = mk(["v"], [("a", "v", "v", 1), ("b", "v", "v", 1)])
+    with pytest.raises(SkewError) as info:
+        skew_product(q, Cocycle(make_cyclic(2), kmap))
+    assert str(info.value) == message
+
+
+def test_an_action_numbers_edges_by_the_quivers_own_table():
+    q = two_loop_quiver()
+    assert _facts(q, trivial_action(q, make_cyclic(2))).edges.pos is q._edge_pos
+    # validate_quiver rejects a repeated edge id; the first edge with it is its number.
+    q = mk(["v"], [("e", "v", "v", 1), ("e", "v", "v", 2)])
+    assert _facts(q, trivial_action(q, make_cyclic(2))).edges.pos == {"e": 0}
