@@ -333,12 +333,12 @@ def k_theory(q):
     reg = sorted(set(ix.rng))
     col = {v: c for c, v in enumerate(reg)}
     rows = [{} for _ in q.vertices]
-    for v, c in col.items():
-        rows[v][c] = -1
     for s, r in zip(ix.src, ix.rng):
         row, c = rows[s], col[r]
         row[c] = row.get(c, 0) + 1
-    rows = [{j: a for j, a in row.items() if a} for row in rows]
+    for v, c in col.items():  # minus the identity; a loop's +1 cancels the -1
+        if a := rows[v].pop(c, 0) - 1:
+            rows[v][c] = a
     units, residual = _unit_pivots(rows, len(reg))
     nonzero = [d for d in _smith_diagonal(residual) if d]
     rank = units + len(nonzero)

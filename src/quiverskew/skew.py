@@ -6,16 +6,13 @@ each vertex and edge: src(e,g) = (s(e), g), rng(e,g) = (r(e), kappa(e)*g),
 weight(e,g) = weight(e).  Right translation in the second coordinate is a
 free action whose quotient recovers the original quiver, and every free
 action arises this way once a section of the vertex orbits is chosen.
-One builder, ``_copies``, names the copies (x, h) ``x@h``, vertices then
-edges in input order and h in G.elements order, for the skew product, its
-translation action, the first-factor map and the Gross-Tucker witness.
-``skew_product`` writes the product's index view, from the base's, in the
-loop that builds its tuples: the product is never numbered from its ids.
-The Gross-Tucker witness is checked against this defining rule, edge by
-edge on the index view, not against a skew product built to compare with:
-bijections onto V x G and E x G that send each edge to a copy with the
-source, range and weight the rule gives are an isomorphism onto the
-product, and nothing else is.
+The copies have one numbering: copy (x, h) of the vertex (or edge) at
+position i, h at position j of G.elements, is vertex (or edge) i*|G| + j.
+``_copies`` names them ``x@h`` in that order; ``skew_product`` writes the
+product's index view from the base's as it builds its tuples; and the
+first-factor map and ``verify``'s layer map read x and h off a position.
+The Gross-Tucker witness is checked against this defining rule on the
+index view, not against a skew product built to compare with.
 ``quotient_quiver``, ``lift_system`` and ``gross_tucker_reconstruct`` pass
 one gate, ``_free``: the action must be valid (else SkewError ``invalid
 action: ...``) and free (else ``... requires a free action``).  Past it they
@@ -24,7 +21,7 @@ read the quotient, orbits and index view that ``group`` builds once per
 """
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .quiver import (
     Edge,
@@ -59,30 +56,36 @@ class Cocycle(namedtuple("Cocycle", "group map")):
 
 
 def skew_vertex_id(v, g):
+    """``v@g``; distinct pairs get distinct ids if no vertex, or no element, has an "@"."""
     return f"{v}@{g}"
 
 
 def skew_edge_id(eid, g):
+    """``eid@g``; injective when ``skew_vertex_id`` is, with edges for vertices."""
     return f"{eid}@{g}"
 
 
 def _copies(q, G):
-    """The ids of the copies (x, h) in the skew product by G, named here once:
-    for the vertices of q, then its edges, {x: {h: id of (x, h)}} in input order."""
-    return tuple({x: {h: pair(x, h) for h in G.elements} for x in items} for pair, items in (
+    """The ids of the copies (x, h) in the skew product by G, named here once: the
+    vertices', then the edges', with (x, h) at i*|G| + j for x at i and h at j of
+    G.elements.  Raises SkewError if two get one id (an element id has an "@")."""
+    copies = tuple(tuple(pair(x, h) for x in items for h in G.elements) for pair, items in (
         (skew_vertex_id, q.vertices), (skew_edge_id, [e.id for e in q.edges])))
+    if any("@" in h for h in G.elements):  # else the last "@" splits every id
+        for x, n in itertools.chain.from_iterable(Counter(ids).items() for ids in copies):
+            if n > 1:
+                raise SkewError(f"two copies in the skew product are named {x!r}")
+    return copies
 
 
 def skew_product(q, kappa):
     """The skew product quiver q x_kappa G with canonical pair ids v@g, e@g.
 
-    Its index view is written with its tuples: copy (v, h) is vertex v*|G| +
-    (position of h in G.elements), edge (e, g) is edge e*|G| + (position of g),
-    and edge (e, g) has e's weight class in q's view."""
+    Its index view is written with its tuples, in the one numbering of the
+    copies, and edge (e, g) has e's weight class in q's view."""
     G = kappa.group
     n, at = G.order, {h: j for j, h in enumerate(G.elements)}
-    vcopies, ecopies = _copies(q, G)
-    vids = tuple(x for v in q.vertices for x in vcopies[v].values())
+    vids, eids = _copies(q, G)
     ix = q.index
     edges, src, rng, out = [], [], [], [[] for _ in vids]
     for e, s, r in zip(q.edges, ix.src, ix.rng):
@@ -90,10 +93,10 @@ def skew_product(q, kappa):
         if k not in at:
             raise SkewError(f"cocycle value for edge {e.id!r} is not a group element")
         times, s, r = G.table[k], s * n, r * n
-        for j, (g, x) in enumerate(ecopies[e.id].items()):
+        for j, g in enumerate(G.elements):
             a, b = s + j, r + at[times[g]]
             out[a].append(len(src))
-            edges.append(Edge._make((x, vids[a], vids[b], e.weight)))
+            edges.append(Edge._make((eids[len(src)], vids[a], vids[b], e.weight)))
             src.append(a)
             rng.append(b)
     view = _Index({x: i for i, x in enumerate(vids)}, tuple(src), tuple(rng),
@@ -104,17 +107,16 @@ def skew_product(q, kappa):
 
 def translation_action(q, kappa):
     """Right translation (x, h).g = (x, hg) on skew_product(q, kappa), on the ids
-    ``_copies`` gives: vertices then edges in input order, h in G.elements order."""
+    ``_copies`` gives, with (x, h) at i*|G| + j for x at position i and h at j."""
     G = kappa.group
-    pos = {h: i for i, h in enumerate(G.elements)}
+    n, pos = G.order, {h: i for i, h in enumerate(G.elements)}
     # right[g] takes the ids of the copies (x, h) of one x, h in G.elements order,
     # to the ids of the (x, hg).
     right = {g: _getter([pos[G.mul(h, g)] for h in G.elements]) for g in G.elements}
     tables = []
-    for copies in _copies(q, G):
-        rows = [tuple(ids.values()) for ids in copies.values()]
-        keys = list(itertools.chain.from_iterable(rows))
-        tables.append({g: dict(zip(keys, itertools.chain.from_iterable(map(at, rows))))
+    for ids in _copies(q, G):
+        rows = [ids[i:i + n] for i in range(0, len(ids), n)]
+        tables.append({g: dict(zip(ids, itertools.chain.from_iterable(map(at, rows))))
                        for g, at in right.items()})
     return QuiverAction._owning(G, *tables)
 
@@ -254,9 +256,8 @@ def gross_tucker_reconstruct(q, a, section=None):
 
     if not _is_skew_witness(facts, quot, kappa, phi, sigma):
         raise SkewOrbitError("reconstructed witness failed isomorphism verification")
-    vcopies, ecopies = _copies(quot, G)
-    iso = QuiverIso(QuiverMorphism({v: vcopies[o][g] for v, (o, g) in phi.items()},
-                                   {e: ecopies[o][g] for e, (o, g) in sigma.items()}))
+    iso = QuiverIso(QuiverMorphism(dict(zip(V.items, map(skew_vertex_id, v_orb, v_g))),
+                                   dict(zip(E.items, map(skew_edge_id, e_orb, e_g)))))
     # G-equivariance of the trivializations.  Checking the generators
     # suffices: the action is a homomorphism (validated on G x S), so
     # equivariance extends to G by induction on word length.
@@ -269,14 +270,12 @@ def gross_tucker_reconstruct(q, a, section=None):
     return GrossTuckerWitness(quot, kappa, phi, sigma, iso)
 
 
-def _first_factor_iso(q, G, quot):
-    """The first-factor map (x, g) -> x from the quotient of a skew product
-    of q by G under translation onto q, read off the copies since ids are
-    opaque; unchecked."""
-    vfirst, efirst = ({x: item for item, ids in copies.items() for x in ids.values()}
-                      for copies in _copies(q, G))
-    return QuiverIso(QuiverMorphism({o: vfirst[o] for o in quot.vertices},
-                                    {e.id: efirst[e.id] for e in quot.edges}))
+def _first_factor_iso(q, G, skew, quot):
+    """The first-factor map (x, g) -> x from the quotient of skew, q's skew product by
+    G, under translation onto q: x is at position i of q for (x, g) at i*|G| + j."""
+    n, pos, epos = G.order, skew.index.pos, skew._edge_pos
+    return QuiverIso(QuiverMorphism({o: q.vertices[pos[o] // n] for o in quot.vertices},
+                                    {o.id: q.edges[epos[o.id] // n].id for o in quot.edges}))
 
 
 def check_skew_orbit(q, kappa):
@@ -285,8 +284,9 @@ def check_skew_orbit(q, kappa):
     Returns the verified QuiverIso from the quotient onto q.  A failure
     here raises SkewOrbitError: it indicates an implementation bug.
     """
-    quot, _ = quotient_quiver(skew_product(q, kappa), translation_action(q, kappa))
-    iso = _first_factor_iso(q, kappa.group, quot)
+    skew = skew_product(q, kappa)
+    quot, _ = quotient_quiver(skew, translation_action(q, kappa))
+    iso = _first_factor_iso(q, kappa.group, skew, quot)
     if not check_iso(quot, q, iso):
         raise SkewOrbitError("canonical skew-orbit isomorphism failed to verify")
     return iso

@@ -29,7 +29,6 @@ from .quiver import check_iso
 from .group import edge_free, is_free, orbits, validate_action
 from .skew import (
     Section,
-    _copies,
     _first_factor_iso,
     gross_tucker_reconstruct,
     lift_system,
@@ -95,7 +94,7 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
 
     def chk_orbit():
         quot, _ = quotient_quiver(skew, act)
-        iso = _first_factor_iso(q, kappa.group, quot)
+        iso = _first_factor_iso(q, kappa.group, skew, quot)
         _require(check_iso(quot, q, iso), "orbit quiver differs from base")
 
     check("skew-orbit-recovery", chk_orbit)
@@ -140,7 +139,8 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
 
         def chk_graded():
             dims = graded_dimensions(q, kappa)
-            layer = {x: g for copies in _copies(q, G)[0].values() for g, x in copies.items()}
+            # The copy at position i*|G| + j of the product lies in layer G.elements[j].
+            layer = dict(zip(skew.vertices, itertools.cycle(G.elements)))
             into = _path_counts(skew, layer.__getitem__, lambda x, e: x)
             corner = sum(into[u][G.identity] ** 2 for u in skew.vertices if u not in reg)
             _require(dims[G.identity] == corner, f"{dims[G.identity]} != {corner}")

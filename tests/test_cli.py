@@ -155,6 +155,22 @@ class TestSkew:
         assert "associativity fails" in capsys.readouterr().err
 
 
+# Vertex "x@1" by element "2" and vertex "x" by element "1@2" are both named "x@1@2".
+AT_QUIVER = {"vertices": ["x", "x@1"],
+             "edges": [{"id": "e", "src": "x", "rng": "x@1", "weight": "1"}]}
+AT_COCYCLE = {"group": {"kind": "table", "elements": ["2", "1@2"], "identity": "2",
+                        "table": [["2", "1@2"], ["1@2", "2"]]},
+              "map": {"e": "1@2"}}
+
+
+@pytest.mark.parametrize("command", ["skew", "verify"])
+def test_two_copies_named_alike_exit_1_with_one_error_line(tmp_path, capsys, command):
+    files = write(tmp_path / "q.json", AT_QUIVER), write(tmp_path / "k.json", AT_COCYCLE)
+    assert main([command, *files]) == 1
+    assert capsys.readouterr() == (
+        "", "error: two copies in the skew product are named 'x@1@2'\n")
+
+
 SWAP_QUIVER = {
     "vertices": ["v", "w"],
     "edges": [

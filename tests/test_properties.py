@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quiverskew import (
     Cocycle,
     check_iso,
+    check_morphism,
     check_skew_orbit,
     edge_free,
     gross_tucker_reconstruct,
@@ -17,6 +18,7 @@ from quiverskew import (
     lift_system,
     make_cyclic,
     make_symmetric,
+    orbits,
     quotient_quiver,
     skew_product,
     translation_action,
@@ -124,6 +126,10 @@ def test_descent_lift_exact_roundtrip(qk):
     skew = skew_product(q, kappa)
     act = translation_action(q, kappa)
     quot, proj = quotient_quiver(skew, act)
+    # The projection is a morphism, and each edge orbit carries one weight.
+    assert check_morphism(skew, quot, proj)
+    _, e_orbits = orbits(skew, act)
+    assert all(len({skew.edge(eid).weight for eid in orb}) == 1 for orb in e_orbits)
     lifted = lift_system(quot, skew, act, proj.emap)
     assert lifted == {e.id: e.weight for e in skew.edges}
     quot2, _ = quotient_quiver(skew.with_weights(lifted), act)

@@ -30,11 +30,12 @@ from quiverskew import (
     skew_vertex_id,
     translation_action,
     validate_action,
+    validate_quiver,
 )
 from quiverskew import io as qio
 from quiverskew.randgen import random_cocycle, random_quiver, random_weight
 from quiverskew.group import _facts
-from quiverskew.skew import SkewError, SkewOrbitError, _copies, _first_factor_iso, _is_skew_witness
+from quiverskew.skew import SkewError, SkewOrbitError, _first_factor_iso, _is_skew_witness
 
 from conftest import count_facts, mk, trivial_action
 
@@ -405,9 +406,8 @@ class TestGrossTucker:
 def rule_and_check_iso(q, a, quot, kappa, phi, sigma):
     """``_is_skew_witness`` on a witness, asserted to agree with its reference:
     check_iso of q against the built skew_product(quot, kappa), on the pair ids."""
-    vcopies, ecopies = _copies(quot, kappa.group)
-    iso = QuiverIso(QuiverMorphism({v: vcopies[o][g] for v, (o, g) in phi.items()},
-                                   {e: ecopies[o][g] for e, (o, g) in sigma.items()}))
+    iso = QuiverIso(QuiverMorphism({v: skew_vertex_id(*p) for v, p in phi.items()},
+                                   {e: skew_edge_id(*p) for e, p in sigma.items()}))
     verdict = _is_skew_witness(_facts(q, a), quot, kappa, phi, sigma)
     assert verdict == check_iso(q, skew_product(quot, kappa), iso)
     return verdict
@@ -585,7 +585,8 @@ def assert_copies_match_reference(q, kappa):
         for g in G.elements:
             assert list(new[g].items()) == list(old[g].items())
     quot, _ = quotient_quiver(skew, act)
-    got, want = _first_factor_iso(q, G, quot).forward, ref_first_factor_iso(q, G, quot).forward
+    got, want = (_first_factor_iso(q, G, skew, quot).forward,
+                 ref_first_factor_iso(q, G, quot).forward)
     assert list(got.vmap.items()) == list(want.vmap.items())
     assert list(got.emap.items()) == list(want.emap.items())
     # The Gross-Tucker witness names the copies of its quotient's skew product.
@@ -609,6 +610,36 @@ def test_copies_match_reference_on_random_draws():
     for _ in range(240):
         q = random_quiver(rng, 5, 8)
         assert_copies_match_reference(q, random_cocycle(rng, q, rng.choice(groups)))
+
+
+def at_table_group(elements):
+    """Z/2 as a ``table`` document on the element ids ``elements``, identity first."""
+    e, g = elements
+    return qio.parse_group_document({"kind": "table", "elements": [e, g], "identity": e,
+                                     "table": [[e, g], [g, e]]})
+
+
+def test_two_copies_named_alike_are_refused():
+    # (x@1, 2) and (x, 1@2) are both named x@1@2; the edges' copies collide too.
+    q = mk(["x", "x@1"], [("e", "x", "x@1", 1), ("e@1", "x", "x", 1)])
+    kappa = Cocycle(at_table_group(["2", "1@2"]), {"e": "1@2", "e@1": "2"})
+    for build in (skew_product, translation_action):
+        with pytest.raises(SkewError, match="two copies in the skew product are named 'x@1@2'"):
+            build(q, kappa)
+    edges_only = mk(["x", "y"], [("e", "x", "y", 1), ("e@1", "x", "x", 1)])
+    for build in (skew_product, translation_action):
+        with pytest.raises(SkewError, match="two copies in the skew product are named 'e@1@2'"):
+            build(edges_only, kappa)
+
+
+def test_an_at_in_element_ids_alone_names_every_copy_apart():
+    # No base id has an "@", so the first "@" of each id splits it.
+    q = mk(["x", "y"], [("e", "x", "y", 1), ("f", "y", "y", "1/2")])
+    kappa = Cocycle(at_table_group(["@", "1@2"]), {"e": "1@2", "f": "@"})
+    assert skew_product(q, kappa).vertices == ("x@@", "x@1@2", "y@@", "y@1@2")
+    assert validate_quiver(skew_product(q, kappa)) == []
+    assert_copies_match_reference(q, kappa)
+    check_skew_orbit(q, kappa)
 
 
 def test_the_products_view_is_the_view_of_its_tuples():
