@@ -111,9 +111,9 @@ def cmd_reconstruct(args):
     witness = gross_tucker_reconstruct(q, a, section)
     doc = {
         "quotient": qio.emit_quiver_document(witness.quotient),
-        "cocycle": dict(witness.cocycle.map),
-        "phi": {v: list(pair) for v, pair in witness.phi.items()},
-        "sigma": {e: list(pair) for e, pair in witness.sigma.items()},
+        "cocycle": witness.cocycle.map,
+        "phi": witness.phi,
+        "sigma": witness.sigma,
     }
     return _write_out(qio.dumps(doc), args.out)
 
@@ -125,17 +125,17 @@ def cmd_invariants(args):
         kappa = qio.parse_cocycle_document(_load_json(args.cocycle), q)
     kt = k_theory(q)
     doc = {
-        "regular_vertices": list(regular_vertices(q)),
+        "regular_vertices": regular_vertices(q),
         "vertex_matrix": vertex_matrix(q),
         "k_theory": {
-            "k0_invariant_factors": list(kt.k0_invariant_factors),
+            "k0_invariant_factors": kt.k0_invariant_factors,
             "k0_free_rank": kt.k0_free_rank,
             "k1_rank": kt.k1_rank,
         },
         "acyclic": is_acyclic(q),
     }
     if doc["acyclic"]:
-        doc["block_structure"] = list(acyclic_block_structure(q).blocks)
+        doc["block_structure"] = acyclic_block_structure(q).blocks
         if kappa is not None:
             doc["graded_dimensions"] = graded_dimensions(q, kappa)
     return _write_out(qio.dumps(doc), args.out)

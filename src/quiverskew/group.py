@@ -7,15 +7,15 @@ group and action laws are checked against a generating set S of the group
 validation is O(|G|.|S|.(|V|+|E|)) for an action and O(|G|^2.|S|) for a
 Cayley table.
 
-An action's tables are read-only copies made when it is built (the
-translation action's, built for it alone, are not copied), so what an
-action determines on a quiver cannot go stale.  All of it is one private
-object per (action, quiver object) pair, built once: the index view (per
-element, the tuple of the image indices of q's vertices and of its edges,
-built in O(|G|.(|V|+|E|))), the validation report, freeness, the orbits and,
-for a valid free action, the quotient and its projection.  ``validate_action``,
-``is_free``, ``orbits`` and the quotient and Gross-Tucker functions in
-``skew`` all read it.  Each law compares whole tuples.
+An action's tables are read-only copies that its constructor makes, from
+mappings or (x, x.g) pairs, so what an action determines on a quiver cannot
+go stale.  All of it is one private object per (action, quiver object) pair,
+built once: the index view (per element, the tuple of the image indices of
+q's vertices and of its edges, built in O(|G|.(|V|+|E|))), the validation
+report, freeness, the orbits and, for a valid free action, the quotient and
+its projection.  ``validate_action``, ``is_free``, ``orbits`` and the
+quotient and Gross-Tucker functions in ``skew`` all read it.  Each law
+compares whole tuples.
 """
 
 import itertools
@@ -34,7 +34,8 @@ class GroupError(ValueError):
 
 
 class FiniteGroup:
-    """A group by its Cayley table.  Groups are shared values (``make_cyclic`` and
+    """A group by its Cayley table, copied when built from rows that are mappings
+    or (h, g*h) pairs.  Groups are shared values (``make_cyclic`` and
     ``make_symmetric`` return one object per n), so none may be mutated."""
 
     def __init__(self, elements, table, identity):
@@ -157,35 +158,28 @@ def make_symmetric(n):
 
 
 def _proxy(table):
-    """A read-only view of a table {element -> {x -> x.g}}, inner maps too."""
-    return MappingProxyType({g: MappingProxyType(p) for g, p in table.items()})
+    """A read-only copy of a table {element -> {x -> x.g}}, inner maps too; an
+    inner table may be a mapping or an iterable of (x, x.g) pairs."""
+    return MappingProxyType({g: MappingProxyType(dict(p)) for g, p in table.items()})
 
 
 class QuiverAction(namedtuple("QuiverAction", "group vperm eperm")):
     """Right action of a finite group on a quiver, as permutation tables.
 
     ``vperm`` maps each element to {vertex -> vertex}, ``eperm`` to {edge id
-    -> edge id}.  The tables are read-only copies of the mappings passed in:
-    assigning to ``a.vperm[g][v]`` raises ``TypeError``, and later changes to
-    the caller's dicts do not reach the action.  Actions compare by (group,
-    vperm, eperm), are not hashable, and take no attribute assignment.  What
-    the action determines on a quiver (validation report, freeness, orbits,
-    quotient; see the module docstring) is built once per quiver object and
-    kept in a memo keyed by the quiver's identity, which holds a reference to
-    the quiver.
+    -> edge id}.  The constructor makes the one read-only copy of the tables
+    passed in, each a mapping or an iterable of (x, x.g) pairs: assigning to
+    ``a.vperm[g][v]`` raises ``TypeError``, and later changes to the caller's
+    dicts do not reach the action.  Actions compare by (group, vperm, eperm),
+    are not hashable, and take no attribute assignment.  What the action
+    determines on a quiver (validation report, freeness, orbits, quotient; see
+    the module docstring) is built once per quiver object and kept in a memo
+    keyed by the quiver's identity, which holds a reference to the quiver.
     """
 
     __hash__ = None
 
     def __new__(cls, group, vperm, eperm):
-        return cls._owning(group, {g: dict(p) for g, p in vperm.items()},
-                           {g: dict(p) for g, p in eperm.items()})
-
-    @classmethod
-    def _owning(cls, group, vperm, eperm):
-        """The action on tables built for it, that no caller holds (as
-        ``skew.translation_action`` builds them): they are made read-only as
-        they are, without the copy."""
         a = tuple.__new__(cls, (group, _proxy(vperm), _proxy(eperm)))
         a.__dict__["_memo"] = {}
         return a

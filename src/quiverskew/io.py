@@ -118,11 +118,8 @@ def parse_group_document(obj):
             raise ParseError("group document: table rows must be lists of strings")
         if len(rows) != len(elements) or any(len(r) != len(elements) for r in rows):
             raise ParseError("group document: table shape must be n x n")
-        table = {
-            g: {h: rows[i][j] for j, h in enumerate(elements)}
-            for i, g in enumerate(elements)
-        }
-        group = FiniteGroup(elements, table, identity)
+        group = FiniteGroup(elements, {g: zip(elements, row) for g, row in zip(elements, rows)},
+                            identity)
         bad = validate_group(group)
         if bad:
             raise ParseError(f"group document: {bad[0]}")

@@ -65,13 +65,18 @@ def skew_edge_id(eid, g):
     return f"{eid}@{g}"
 
 
+def _may_name_alike(G):
+    """True iff an element id has an "@": else the last "@" of a copy's id splits it."""
+    return any("@" in h for h in G.elements)
+
+
 def _copies(q, G):
     """The ids of the copies (x, h) in the skew product by G, named here once: the
     vertices', then the edges', with (x, h) at i*|G| + j for x at i and h at j of
     G.elements.  Raises SkewError if two get one id (an element id has an "@")."""
     copies = tuple(tuple(pair(x, h) for x in items for h in G.elements) for pair, items in (
         (skew_vertex_id, q.vertices), (skew_edge_id, [e.id for e in q.edges])))
-    if any("@" in h for h in G.elements):  # else the last "@" splits every id
+    if _may_name_alike(G):
         for x, n in itertools.chain.from_iterable(Counter(ids).items() for ids in copies):
             if n > 1:
                 raise SkewError(f"two copies in the skew product are named {x!r}")
@@ -116,9 +121,9 @@ def translation_action(q, kappa):
     tables = []
     for ids in _copies(q, G):
         rows = [ids[i:i + n] for i in range(0, len(ids), n)]
-        tables.append({g: dict(zip(ids, itertools.chain.from_iterable(map(at, rows))))
+        tables.append({g: zip(ids, itertools.chain.from_iterable(map(at, rows)))
                        for g, at in right.items()})
-    return QuiverAction._owning(G, *tables)
+    return QuiverAction(G, *tables)
 
 
 def _free(q, a, what):
@@ -189,16 +194,14 @@ def default_section(q, a):
 GrossTuckerWitness = namedtuple("GrossTuckerWitness", "quotient cocycle phi sigma iso")
 
 
-def _is_skew_witness(facts, quot, kappa, phi, sigma):
-    """True iff phi (vertex -> (o, g)) and sigma (edge id -> (o, g)), total on the
-    quiver q of ``facts``, are an isomorphism of q onto skew_product(quot, kappa):
-    the rule stated in ``gross_tucker_reconstruct``, in one pass over q's index
-    tuples, with weights compared by their integer class."""
+def _is_skew_witness(facts, quot, kappa, phis, sigmas):
+    """True iff phis and sigmas, the pairs (o, g) of each vertex and edge of the
+    quiver q of ``facts`` in q's item order, are an isomorphism of q onto
+    skew_product(quot, kappa): the rule stated in ``gross_tucker_reconstruct``, in
+    one pass over q's index tuples, with weights compared by their integer class."""
     G = kappa.group
-    phis, sigmas = _getter(facts.vertices.items)(phi), _getter(facts.edges.items)(sigma)
-    for table, pairs, ids in ((phi, phis, quot.vertices),
-                              (sigma, sigmas, [o.id for o in quot.edges])):
-        if not len(table) == len(pairs) == len(ids) * G.order or (
+    for pairs, ids in ((phis, quot.vertices), (sigmas, [o.id for o in quot.edges])):
+        if len(pairs) != len(ids) * G.order or (
                 set(pairs) != set(itertools.product(ids, G.elements))):
             return False
     ix = facts.quiver.index
@@ -229,8 +232,11 @@ def gross_tucker_reconstruct(q, a, section=None):
     The edge (o, g) of quot x_kappa G has exactly that source, range and
     weight (Gross and Tucker 1977), so this holds exactly when ``iso``
     carries q's edge table onto the product's, which is what check_iso
-    decides.  phi and sigma must also be G-equivariant.  A failed check
-    raises SkewOrbitError: it indicates an implementation bug.
+    decides.  phi and sigma must also be G-equivariant: on an abelian group
+    the rule alone accepts every g_v (and so kappa) inverted.  A failed
+    check raises SkewOrbitError: it indicates an implementation bug.  Raises
+    SkewError, as skew_product(quot, kappa) would, if an "@" in an element
+    id names two copies of the quotient's items alike.
     """
     facts = _free(q, a, "reconstruction")
     quot, proj = facts.quotient, facts.proj
@@ -243,18 +249,19 @@ def gross_tucker_reconstruct(q, a, section=None):
         if proj.vmap.get(v) != o:
             raise SkewError(f"section point {v!r} is not in orbit {o!r}")
     G = a.group
+    if _may_name_alike(G):
+        _copies(quot, G)  # refuses, as skew_product would, two copies named alike
     V, E = facts.vertices, facts.edges
     # g_v: the unique translator from the section point to v (freeness).
     g_of = {t[b]: g for b in map(V.pos.__getitem__, rep.values()) for g, t in V.tables.items()}
     v_orb, v_g = _getter(V.items)(proj.vmap), _getter(range(len(V.items)))(g_of)
     e_orb, e_g = _getter(E.items)(proj.emap), _getter(q.index.src)(g_of)
-    phi = dict(zip(V.items, zip(v_orb, v_g)))
-    sigma = dict(zip(E.items, zip(e_orb, e_g)))
+    phis, sigmas = list(zip(v_orb, v_g)), list(zip(e_orb, e_g))  # lists: tuple() of a zip is slower
 
     kmap = {o: g_of[r] for o, g, r in zip(e_orb, e_g, q.index.rng) if g == G.identity}
     kappa = Cocycle(G, {o.id: kmap[o.id] for o in quot.edges})
 
-    if not _is_skew_witness(facts, quot, kappa, phi, sigma):
+    if not _is_skew_witness(facts, quot, kappa, phis, sigmas):
         raise SkewOrbitError("reconstructed witness failed isomorphism verification")
     iso = QuiverIso(QuiverMorphism(dict(zip(V.items, map(skew_vertex_id, v_orb, v_g))),
                                    dict(zip(E.items, map(skew_edge_id, e_orb, e_g)))))
@@ -267,7 +274,8 @@ def gross_tucker_reconstruct(q, a, section=None):
             at_image = _getter(side.tables[s])
             if at_image(orb) != orb or at_image(gs) != _getter(gs)(times_s):
                 raise SkewOrbitError(f"{name} is not G-equivariant")
-    return GrossTuckerWitness(quot, kappa, phi, sigma, iso)
+    return GrossTuckerWitness(quot, kappa, dict(zip(V.items, phis)), dict(zip(E.items, sigmas)),
+                              iso)
 
 
 def _first_factor_iso(q, G, skew, quot):

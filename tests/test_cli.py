@@ -171,6 +171,22 @@ def test_two_copies_named_alike_exit_1_with_one_error_line(tmp_path, capsys, com
         "", "error: two copies in the skew product are named 'x@1@2'\n")
 
 
+# Z/2 on those elements, swapping x with p and x@1 with r: the copies (x, 1@2) and
+# (x@1, 2) of the quotient's vertices are both named "x@1@2".
+AT_FREE = ({"vertices": ["x", "p", "x@1", "r"], "edges": []},
+           {"group": AT_COCYCLE["group"],
+            "vperm": {"2": {"x": "x", "p": "p", "x@1": "x@1", "r": "r"},
+                      "1@2": {"x": "p", "p": "x", "x@1": "r", "r": "x@1"}},
+            "eperm": {"2": {}, "1@2": {}}})
+
+
+def test_reconstruct_refuses_two_copies_named_alike(tmp_path, capsys):
+    files = write(tmp_path / "q.json", AT_FREE[0]), write(tmp_path / "a.json", AT_FREE[1])
+    assert main(["reconstruct", *files]) == 1
+    assert capsys.readouterr() == (
+        "", "error: two copies in the skew product are named 'x@1@2'\n")
+
+
 SWAP_QUIVER = {
     "vertices": ["v", "w"],
     "edges": [
@@ -183,6 +199,35 @@ SWAP_ACTION = {
     "vperm": {"0": {"v": "v", "w": "w"}, "1": {"v": "w", "w": "v"}},
     "eperm": {"0": {"a": "a", "b": "b"}, "1": {"a": "b", "b": "a"}},
 }
+
+
+DANGLING = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "rng": "w", "weight": "1"}]}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["skew", "q.json", "k.json"], 1),
+    (["quotient", "q.json", "a.json"], 1),
+    (["reconstruct", "q.json", "a.json"], 1),
+    (["invariants", "q.json", "--cocycle", "k.json"], 1),
+    (["verify", "q.json", "k.json"], 1),
+    (["export-dot", "q.json"], 1),
+    ([], 2),
+    (["nope"], 2),
+    (["--help"], 0),
+], ids=["skew", "quotient", "reconstruct", "invariants", "verify", "export-dot", "no-command",
+        "unknown-command", "help"])
+def test_exit_codes_at_the_boundary(tmp_path, capsys, argv, code):
+    # Every command that reads a quiver refuses an invalid one with one error
+    # line; argparse's exits become return codes.
+    files = {"q.json": write(tmp_path / "q.json", DANGLING),
+             "k.json": write(tmp_path / "k.json", {"group": Z2, "map": {"e": "1"}}),
+             "a.json": write(tmp_path / "a.json", SWAP_ACTION)}
+    assert main([files.get(x, x) for x in argv]) == code
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert (out, err) == ("", "error: dangling endpoint: edge 'e' has rng 'w'\n")
+    else:
+        assert "usage: quiverskew" in out + err
 
 
 class TestQuotient:
@@ -422,6 +467,13 @@ class TestRoundtrip:
     ))
     def test_dumps_writes_what_json_dumps_writes(self, doc):
         assert qio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [{("a", "b"): 1}, [{"a"}]], ids=["tuple-key", "set"])
+    def test_dumps_fails_where_json_dumps_fails(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            qio.dumps(doc)
 
 
 S3 = {"kind": "symmetric", "n": 3}

@@ -4,6 +4,7 @@ from operator import itemgetter
 import pytest
 
 from quiverskew import (
+    Cocycle,
     FiniteGroup,
     QuiverAction,
     edge_free,
@@ -270,19 +271,26 @@ class TestReadOnlyAndMemoised:
         assert validate_action(q, a) == []
 
     def test_tables_are_read_only_copies(self):
-        q = mk(["v", "w"], [("a", "v", "w", 1), ("b", "w", "v", 1)])
-        vperm = {"0": {"v": "v", "w": "w"}, "1": {"v": "w", "w": "v"}}
-        eperm = {"0": {"a": "a", "b": "b"}, "1": {"a": "b", "b": "a"}}
-        a = QuiverAction(make_cyclic(2), vperm, eperm)
-        with pytest.raises(TypeError):
-            a.vperm["1"]["v"] = "v"
-        with pytest.raises(TypeError):
-            a.eperm["1"] = {"a": "a", "b": "b"}
-        vperm["1"]["v"] = "v"
-        eperm["1"] = {"a": "a", "b": "b"}
-        assert a.vperm["1"] == {"v": "w", "w": "v"}
-        assert a.eperm["1"] == {"a": "b", "b": "a"}
-        assert validate_action(q, a) == [] and is_free(q, a)
+        # Tables given as mappings, as (x, x.g) pairs, and built by translation_action,
+        # on q, the skew product of a loop at v by Z/2 with kappa(a) = 1.
+        loop, kappa = mk(["v"], [("a", "v", "v", 1)]), Cocycle(make_cyclic(2), {"a": "1"})
+        q = skew_product(loop, kappa)
+        vperm = {"0": {"v@0": "v@0", "v@1": "v@1"}, "1": {"v@0": "v@1", "v@1": "v@0"}}
+        eperm = {"0": {"a@0": "a@0", "a@1": "a@1"}, "1": {"a@0": "a@1", "a@1": "a@0"}}
+        pairs = ({g: zip(p, p.values()) for g, p in perm.items()} for perm in (vperm, eperm))
+        actions = [QuiverAction(make_cyclic(2), vperm, eperm),
+                   QuiverAction(make_cyclic(2), *pairs), translation_action(loop, kappa)]
+        for a in actions:
+            with pytest.raises(TypeError):
+                a.vperm["1"]["v@0"] = "v@0"
+            with pytest.raises(TypeError):
+                a.eperm["1"] = {"a@0": "a@0", "a@1": "a@1"}
+        vperm["1"]["v@0"] = "v@0"
+        eperm["1"] = {"a@0": "a@0", "a@1": "a@1"}
+        for a in actions:
+            assert a.vperm["1"] == {"v@0": "v@1", "v@1": "v@0"}
+            assert a.eperm["1"] == {"a@0": "a@1", "a@1": "a@0"}
+            assert validate_action(q, a) == [] and is_free(q, a)
 
     def test_mutated_results_do_not_reach_the_memo(self):
         q, a = swap_action_on_loops(1, 2)

@@ -34,7 +34,7 @@ from quiverskew import (
 )
 from quiverskew import io as qio
 from quiverskew.randgen import random_cocycle, random_quiver, random_weight
-from quiverskew.group import _facts
+from quiverskew.group import _facts, _getter
 from quiverskew.skew import SkewError, SkewOrbitError, _first_factor_iso, _is_skew_witness
 
 from conftest import count_facts, mk, trivial_action
@@ -404,11 +404,15 @@ class TestGrossTucker:
 
 
 def rule_and_check_iso(q, a, quot, kappa, phi, sigma):
-    """``_is_skew_witness`` on a witness, asserted to agree with its reference:
-    check_iso of q against the built skew_product(quot, kappa), on the pair ids."""
+    """``_is_skew_witness`` on a witness whose phi and sigma are total dicts, read
+    in q's item order, asserted to agree with its reference: check_iso of q
+    against the built skew_product(quot, kappa), on the pair ids."""
     iso = QuiverIso(QuiverMorphism({v: skew_vertex_id(*p) for v, p in phi.items()},
                                    {e: skew_edge_id(*p) for e, p in sigma.items()}))
-    verdict = _is_skew_witness(_facts(q, a), quot, kappa, phi, sigma)
+    facts = _facts(q, a)
+    V, E = facts.vertices.items, facts.edges.items
+    assert set(phi) == set(V) and set(sigma) == set(E)
+    verdict = _is_skew_witness(facts, quot, kappa, _getter(V)(phi), _getter(E)(sigma))
     assert verdict == check_iso(q, skew_product(quot, kappa), iso)
     return verdict
 
@@ -640,6 +644,61 @@ def test_an_at_in_element_ids_alone_names_every_copy_apart():
     assert validate_quiver(skew_product(q, kappa)) == []
     assert_copies_match_reference(q, kappa)
     check_skew_orbit(q, kappa)
+
+
+def at_swap(vertices):
+    """Z/2 as a ``table`` group on elements 2, 1@2, acting on four vertices and no
+    edges: 1@2 swaps the first two vertices, and the last two."""
+    x, p, y, r = vertices
+    return mk(vertices, []), QuiverAction(
+        at_table_group(["2", "1@2"]), {"2": {v: v for v in vertices},
+                                       "1@2": {x: p, p: x, y: r, r: y}}, {"2": {}, "1@2": {}})
+
+
+def test_a_witness_naming_two_copies_alike_is_refused():
+    # The orbits of x and x@1 give the copies (x, 1@2) and (x@1, 2), both x@1@2.
+    q, a = at_swap(["x", "p", "x@1", "r"])
+    with pytest.raises(SkewError) as info:
+        gross_tucker_reconstruct(q, a)
+    assert str(info.value) == "two copies in the skew product are named 'x@1@2'"
+
+
+def test_an_at_in_element_ids_alone_still_reconstructs():
+    q, a = at_swap(["x", "p", "y", "r"])
+    w = gross_tucker_reconstruct(q, a)
+    # The default section takes the least id of each orbit: p for x's, r for y's.
+    assert w.iso.forward.vmap == {"x": "x@1@2", "p": "x@2", "y": "y@1@2", "r": "y@2"}
+    assert check_iso(q, skew_product(w.quotient, w.cocycle), w.iso)
+
+
+class InvertedTranslators(dict):
+    """Tables by element whose ``items()`` pair each table with the inverse of
+    its element, while looking a table up by its element stays true."""
+
+    def __init__(self, tables, G):
+        super().__init__(tables)
+        self.group = G
+
+    def items(self):
+        return [(self.group.inv(g), t) for g, t in super().items()]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_inverted_translators_are_not_g_equivariant(monkeypatch, n):
+    # Each g_v inverted, and with it the recovered cocycle: on an abelian group
+    # that witness keeps the skew-product rule, and only the equivariance check
+    # refuses it.
+    rng = random.Random(n)
+    for _ in range(10):
+        q = random_quiver(rng, 5, 8)
+        kappa = random_cocycle(rng, q, make_cyclic(n))
+        skew, act = skew_product(q, kappa), translation_action(q, kappa)
+        facts = _facts(skew, act)
+        monkeypatch.setattr(facts, "vertices", facts.vertices._replace(
+            tables=InvertedTranslators(facts.vertices.tables, kappa.group)))
+        with pytest.raises(SkewOrbitError) as info:
+            gross_tucker_reconstruct(skew, act)
+        assert str(info.value) == "phi is not G-equivariant"
 
 
 def test_the_products_view_is_the_view_of_its_tuples():
