@@ -6,7 +6,6 @@ Exit codes: 0 success/PASS, 1 domain failure (validation or FAIL),
 
 import argparse
 import json
-import random
 import sys
 
 from . import io as qio
@@ -19,17 +18,9 @@ from .skew import (
     quotient_quiver,
     skew_product,
 )
-from .cstar import (
-    CStarError,
-    acyclic_block_structure,
-    graded_dimensions,
-    is_acyclic,
-    k_theory,
-    regular_vertices,
-    vertex_matrix,
-)
-from .verify import run_suite
-from .randgen import random_cocycle, random_group, random_quiver
+
+# cstar, verify and randgen are imported by the commands that use them, so that
+# the other commands start without compiling them.
 
 
 def _load_json(path):
@@ -119,6 +110,9 @@ def cmd_reconstruct(args):
 
 
 def cmd_invariants(args):
+    from .cstar import (acyclic_block_structure, graded_dimensions, is_acyclic, k_theory,
+                        regular_vertices, vertex_matrix)
+
     q = _validated_quiver(args.quiver)
     kappa = None
     if args.cocycle:
@@ -143,6 +137,9 @@ def cmd_invariants(args):
 
 def _random_cases(n, seed):
     """N seeded random (label, quiver, cocycle) cases."""
+    import random
+    from .randgen import random_cocycle, random_group, random_quiver
+
     rng = random.Random(seed)
     for i in range(n):
         q = random_quiver(rng)
@@ -150,6 +147,8 @@ def _random_cases(n, seed):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
+
     if args.budget < 1:
         raise qio.ParseError("--budget must be at least 1")
     if args.random is not None:
@@ -239,6 +238,13 @@ def build_parser():
     return p
 
 
+def _cstar_error():
+    """CStarError, imported only when an error has reached ``main``."""
+    from .cstar import CStarError
+
+    return CStarError
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -250,7 +256,7 @@ def main(argv=None):
     except qio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (QuiverError, GroupError, SkewError, CStarError) as exc:
+    except (QuiverError, GroupError, SkewError, _cstar_error()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

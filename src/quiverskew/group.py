@@ -3,9 +3,10 @@
 Actions are right actions given by per-element permutation tables:
 ``v . (g*h) == (v . g) . h``.  Every group in scope has order <= 120.  The
 group and action laws are checked against a generating set S of the group
-(|S| <= log2 |G|), not against all pairs or triples of elements, so
-validation is O(|G|.|S|.(|V|+|E|)) for an action and O(|G|^2.|S|) for a
-Cayley table.
+(|S| <= log2 |G|; each member picked to generate the largest subgroup with
+those before it, so S4 and S5 have two), not against all pairs or triples
+of elements, so validation is O(|G|.|S|.(|V|+|E|)) for an action and
+O(|G|^2.|S|) for a Cayley table.
 
 An action's tables are read-only copies that its constructor makes, from
 mappings or (x, x.g) pairs, so what an action determines on a quiver cannot
@@ -13,9 +14,10 @@ go stale.  All of it is one private object per (action, quiver object) pair,
 built once: the index view (per element, the tuple of the image indices of
 q's vertices and of its edges, built in O(|G|.(|V|+|E|))), the validation
 report, freeness, the orbits and, for a valid free action, the quotient and
-its projection.  ``validate_action``, ``is_free``, ``orbits`` and the
-quotient and Gross-Tucker functions in ``skew`` all read it.  Each law
-compares whole tuples.
+its projection.  The action parser in ``io`` builds it; ``validate_action``,
+``is_free``, ``orbits`` and the quotient and Gross-Tucker functions in
+``skew`` read it.  Each law compares whole tuples, and the orbits read one
+column of the tables per orbit.
 """
 
 import itertools
@@ -60,29 +62,39 @@ class FiniteGroup:
 
     @cached_property
     def generators(self):
-        """Generating set S: each element, in order, that is not yet in the
-        subgroup the earlier ones generate.
+        """Generating set S: the first element that is not the identity, then
+        each time the first element, in element order, that generates the
+        largest subgroup together with those already chosen, until that is G.
 
         Every element is a product s1*s2*...*sk of members of S.  Each member
-        at least doubles the subgroup generated so far, so |S| <= log2 |G|.
-        Requires a total table whose values are elements.
+        at least doubles the subgroup generated so far, so |S| <= log2 |G|;
+        S3 gives ('132', '213') and S4 ('1243', '2314').  Requires a total
+        table whose values are elements.
         """
-        gens = []
-        reached = {self.identity}
-        for g in self.elements:
-            if g in reached:
-                continue
-            gens.append(g)
-            reached = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                h = frontier.pop()
-                for s in gens:
-                    hs = self.table[h][s]
-                    if hs not in reached:
-                        reached.add(hs)
-                        frontier.append(hs)
+        gens, reached = [], {self.identity}
+        while len(reached) < self.order:
+            best = None
+            for g in self.elements:
+                if g not in reached:
+                    span = self._span(gens + [g])
+                    if best is None or len(span) > len(best[1]):
+                        best = g, span
+                    if not gens or len(span) == self.order:
+                        break
+            gens.append(best[0])
+            reached = best[1]
         return tuple(gens)
+
+    def _span(self, gens):
+        """The subgroup that gens generate: the products s1*s2*...*sk of its members."""
+        reached, frontier = {self.identity}, [self.identity]
+        while frontier:
+            row = self.table[frontier.pop()]
+            for s in gens:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    frontier.append(row[s])
+        return reached
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -215,12 +227,13 @@ class _Side(namedtuple("_Side", "kind items pos tables")):
         return all(all(map(ne, t, range(len(t)))) for g, t in self.tables.items() if g != ident)
 
     def orbits(self):
-        """``orbits`` of the items: the orbit of x is the set of column x of the tables."""
-        seen, parts = set(), []
-        for x, column in enumerate(zip(*self.tables.values())):
-            if x not in seen:
-                seen.update(column)
-                parts.append(_getter(sorted(set(column)))(self.items))
+        """``orbits`` of the items: the orbit of x is the set of column x of the tables,
+        read for the first x of each orbit only."""
+        seen, parts, tables = set(), [], self.tables.values()
+        for x in itertools.filterfalse(seen.__contains__, range(len(self.items))):
+            orbit = {t[x] for t in tables}
+            seen.update(orbit)
+            parts.append(_getter(sorted(orbit))(self.items))
         return parts
 
 
@@ -244,9 +257,10 @@ class _Facts:
         for g in a.group.elements:
             for side, perms in zip(sides, (a.vperm, a.eperm)):
                 p, n = perms.get(g), len(side.pos)
-                try:  # KeyError: an item without image, or an image that is no item
+                try:  # KeyError: an item without image, or an image that is no item;
+                    # TypeError: an image that cannot be a key
                     t = None if p is None else _getter(_getter(side.items)(p))(side.pos)
-                except KeyError:
+                except (KeyError, TypeError):
                     t = None
                 if t is None or len(p) != n or len(set(t)) != n:
                     self.error = (f"{side.kind} permutation for {g!r} is not a permutation of the "

@@ -4,6 +4,11 @@ Weights travel as strings "p/q" (or integer strings) so the JSON layer
 never touches floating point.  Emitted documents re-parse to equal values;
 on canonical documents (sorted ids, reduced fractions) parse . emit is the
 identity byte-for-byte.
+
+Each document is read once, here: the quiver parser writes the quiver's index
+view as it reads the edge records, and the action parser builds what the
+action determines on the quiver, which also shows that every image is one of
+the quiver's (string) ids.  Past the boundary, layers read integer positions.
 """
 
 import itertools
@@ -12,12 +17,13 @@ import re
 from fractions import Fraction
 from operator import itemgetter
 
-from .quiver import Edge, FiniteQuiver
+from .quiver import Edge, FiniteQuiver, _Index
 from .group import (
     MAX_ORDER,
     FiniteGroup,
     GroupError,
     QuiverAction,
+    _facts,
     make_cyclic,
     make_symmetric,
     validate_group,
@@ -62,29 +68,47 @@ def _strings(items):
 
 
 _EDGE_FIELDS = ("id", "src", "rng", "weight")
-_EDGE_KEYS = frozenset(_EDGE_FIELDS)
 _edge_fields = itemgetter(*_EDGE_FIELDS)
 
 
 def parse_quiver_document(obj):
-    """A quiver from its document; each distinct weight string is parsed once."""
-    vertices = _require(obj, "vertices", list, "quiver document")
+    """A quiver from its document, with its index view (see ``FiniteQuiver.index``)
+    written as the edge records are read; each distinct weight string is parsed once.
+
+    If an endpoint is not a vertex, the quiver gets no view: ``validate_quiver``
+    reports the endpoint, and ``index`` raises KeyError as it does on any such quiver.
+    """
+    vertices = tuple(_require(obj, "vertices", list, "quiver document"))
     raw_edges = _require(obj, "edges", list, "quiver document")
     if not _strings(vertices):
         raise ParseError("quiver document: vertices must be strings")
-    edges = []
-    weights = {}
-    for rec in raw_edges:
-        if not (isinstance(rec, dict) and rec.keys() >= _EDGE_KEYS
-                and _strings(fields := _edge_fields(rec))):
-            for key in _EDGE_FIELDS:  # raises _require's message for the first bad field
+    try:  # KeyError: a missing field; TypeError: a record that is no mapping
+        columns = tuple(zip(*map(_edge_fields, raw_edges))) or ((),) * 4
+        ok = all(map(isinstance, raw_edges, itertools.repeat(dict))) and all(map(_strings, columns))
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        for rec in raw_edges:  # raises the first bad record's message, in record order
+            for key in _EDGE_FIELDS:
                 _require(rec, key, str, "edge record")
-        eid, src, rng, text = fields
-        weight = weights.get(text)
-        if weight is None:
-            weight = weights[text] = parse_fraction(text)
-        edges.append(Edge(eid, src, rng, weight))
-    return FiniteQuiver(vertices, edges)
+            parse_fraction(rec["weight"])
+    ids, srcs, rngs, texts = columns
+    weights, classes, class_of = {}, {}, {}
+    for text in dict.fromkeys(texts):
+        w = weights[text] = parse_fraction(text)
+        class_of[text] = classes.setdefault(w.as_integer_ratio(), len(classes))
+    edges = tuple(map(tuple.__new__, itertools.repeat(Edge),
+                      zip(ids, srcs, rngs, map(weights.__getitem__, texts))))
+    pos = {v: i for i, v in enumerate(vertices)}
+    try:
+        src, rng = tuple(map(pos.__getitem__, srcs)), tuple(map(pos.__getitem__, rngs))
+    except KeyError:
+        return FiniteQuiver(vertices, edges)
+    out = [[] for _ in vertices]
+    for i, s in enumerate(src):
+        out[s].append(i)
+    return FiniteQuiver._indexed(vertices, edges, _Index(
+        pos, src, rng, tuple(map(class_of.__getitem__, texts)), classes, tuple(map(tuple, out))))
 
 
 def emit_quiver_document(q):
@@ -143,10 +167,23 @@ def parse_cocycle_document(obj, q):
 
 
 def parse_action_document(obj, q):
+    """The action of its document on q, a quiver that validates, with what the
+    action determines on q built (see ``group``).
+
+    Its tables must map to strings.  When every id of q is a string, translating
+    a table onto q's items proves that of its images, so the images are tested
+    one by one only if some table does not translate or q has another id.
+    """
     group = parse_group_document(_require(obj, "group", dict, "action document"))
     vperm = _require(obj, "vperm", dict, "action document")
     eperm = _require(obj, "eperm", dict, "action document")
-    for g in group.elements:
+    els = group.elements
+    if all(g in t and isinstance(t[g], dict) for g in els for t in (vperm, eperm)):
+        action = QuiverAction(group, {g: vperm[g] for g in els}, {g: eperm[g] for g in els})
+        facts = _facts(q, action)
+        if not facts.error and _strings(facts.vertices.items) and _strings(facts.edges.items):
+            return action
+    for g in els:  # the first element whose tables are missing or not string-valued
         if g not in vperm or g not in eperm:
             raise ParseError(f"action document: missing permutations for {g!r}")
         for perm in (vperm[g], eperm[g]):
@@ -154,11 +191,7 @@ def parse_action_document(obj, q):
                 raise ParseError(
                     f"action document: permutation for {g!r} must map strings to strings"
                 )
-    return QuiverAction(
-        group,
-        {g: vperm[g] for g in group.elements},
-        {g: eperm[g] for g in group.elements},
-    )
+    return action
 
 
 def dumps(obj):
@@ -167,8 +200,10 @@ def dumps(obj):
     The text is exactly ``json.dumps(obj, indent=2) + "\\n"``, byte for byte,
     for every obj that call accepts.  It is written by ``_emit`` instead of the
     standard library's pure-Python indent encoder: strings go through the C
-    ``encode_basestring_ascii``, ints through ``int.__repr__``, and a list of
-    only str or only int is joined in one call.
+    ``encode_basestring_ascii``, ints through ``int.__repr__``, a list of only
+    str or only int is joined in one call, and so is each entry of a dict whose
+    values are all non-empty lists (or tuples) of str, such as a witness's
+    ``phi`` and ``sigma``.
     """
     out = []
     _emit(obj, "\n", out)
@@ -216,6 +251,16 @@ def _emit(o, ind, out):
             out.append("{}")
             return
         inner = ind + "  "
+        lists = o.values()
+        if (all(map(isinstance, lists, itertools.repeat((list, tuple)))) and all(lists)
+                and _strings(itertools.chain.from_iterable(lists))):
+            # Every value a non-empty list of str: one join per entry.
+            deeper = inner + "  "
+            head, sep, tail = ": [" + deeper, "," + deeper, inner + "]"
+            out += ("{", inner, ("," + inner).join([
+                _quote(_key(k)) + head + sep.join(map(_quote, v)) + tail for k, v in o.items()]),
+                ind, "}")
+            return
         sep = "{" + inner
         for k, v in o.items():
             out += (sep, _quote(_key(k)), ": ")

@@ -3,7 +3,10 @@
 A quiver here is a finite directed multigraph whose edges carry strictly
 positive rational weights.  All arithmetic is exact: weights are
 ``fractions.Fraction`` and every comparison is an equality of rationals,
-never a float tolerance.
+never a float tolerance.  A quiver's integer view ``index`` is built on first
+use, or written by the builder that numbers it (the document parser in ``io``
+and ``skew_product``); ``validate_quiver`` decides a quiver that holds its
+view from the view.
 """
 
 from fractions import Fraction
@@ -124,7 +127,17 @@ _Index = namedtuple("_Index", "pos src rng weight classes out")
 
 
 def validate_quiver(q):
-    """Return a list of violation strings; empty means the quiver is valid."""
+    """Return a list of violation strings; empty means the quiver is valid.
+
+    A quiver that already holds its index view (one that ``parse_quiver_document``
+    or ``skew_product`` built) is decided from it: the view exists only if every
+    endpoint is a vertex, and a repeated id shrinks ``pos`` or ``_edge_pos``.  The
+    items are named one by one only when that finds a fault, or without a view.
+    """
+    ix = vars(q).get("index")
+    if (ix and len(ix.pos) == len(q.vertices) and len(q._edge_pos) == len(q.edges)
+            and all(n > 0 for n, _ in ix.classes)):
+        return []
     report = []
     seen_v = set()
     for v in q.vertices:

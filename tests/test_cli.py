@@ -468,6 +468,24 @@ class TestRoundtrip:
     def test_dumps_writes_what_json_dumps_writes(self, doc):
         assert qio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("doc", [
+        {"v": ["o", "1"], "w": ("o", "2")},
+        {"v": ["o"], "w": ("p",)},
+        {"v": ["o"], "w": []},
+        {"é": ["ü", "\u2603"], "tab\t": ['"\\', "\n"]},
+        {"v": ["o", 1]},
+        {"v": ["o"], "w": "o"},
+        {"v": ["o"], "w": [["o"]]},
+        {"v": ["o"], "w": {"x": ["o"]}},
+        {1: ["o"], None: ["p"], 2.5: ["q"], True: ["r"], "s": ("t", "u")},
+        {"phi": {"v": ("o", "1"), "w": ("o", "2")}, "n": [1, 2], "sigma": {}},
+        [{"v": ["o"]}, {"w": ["p", "q"]}],
+    ], ids=["lists-and-tuples", "one-element", "an-empty-list", "non-ascii", "mixed-items",
+            "a-string-value", "a-nested-list", "a-nested-dict", "non-string-keys", "nested",
+            "in-a-list"])
+    def test_dumps_writes_dicts_of_string_lists_as_json_dumps_does(self, doc):
+        assert qio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
     @pytest.mark.parametrize("doc", [{("a", "b"): 1}, [{"a"}]], ids=["tuple-key", "set"])
     def test_dumps_fails_where_json_dumps_fails(self, doc):
         with pytest.raises(TypeError):
@@ -752,6 +770,24 @@ class TestDocumentTypes:
         af = write(tmp_path / "a.json", dict(SWAP_ACTION, **perms))
         assert main(["quotient", qf, af]) == 2
         assert capsys.readouterr().err.startswith("parse error: ")
+
+
+    @pytest.mark.parametrize("command", ["quotient", "reconstruct"])
+    def test_a_later_image_that_is_no_string_is_a_parse_error(self, tmp_path, capsys, command):
+        # The table of "0" is not a permutation: that alone exits 1.  The image 5
+        # in a later table is still found first, and exits 2.
+        qf = write(tmp_path / "q.json", SWAP_QUIVER)
+        af = write(tmp_path / "a.json", dict(
+            SWAP_ACTION, vperm={"0": {"v": "v", "w": "v"}, "1": {"v": "w", "w": "v"}},
+            eperm={"0": {"a": "a", "b": "b"}, "1": {"a": 5, "b": "a"}}))
+        assert main([command, qf, af]) == 2
+        assert capsys.readouterr() == (
+            "", "parse error: action document: permutation for '1' must map strings to strings\n")
+        af = write(tmp_path / "a.json", dict(
+            SWAP_ACTION, vperm={"0": {"v": "v", "w": "v"}, "1": {"v": "w", "w": "v"}}))
+        assert main([command, qf, af]) == 1
+        assert capsys.readouterr() == ("", "error: invalid action: vertex permutation for '0' "
+                                           "is not a permutation of the vertices\n")
 
 
 EDGE = {"id": "e", "src": "v", "rng": "v", "weight": "1"}

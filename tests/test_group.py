@@ -98,6 +98,44 @@ def test_generators_generate_and_are_few(group):
     assert closure == set(group.elements)
 
 
+def first_missing_generators(G):
+    """The generating set picked by the earlier rule: each element, in element
+    order, that is not in the subgroup the ones before it generate."""
+    gens, reached = [], {G.identity}
+    for g in G.elements:
+        if g not in reached:
+            gens.append(g)
+            reached, frontier = {G.identity}, [G.identity]
+            while frontier:
+                h = frontier.pop()
+                for s in gens:
+                    if G.mul(h, s) not in reached:
+                        reached.add(G.mul(h, s))
+                        frontier.append(G.mul(h, s))
+    return tuple(gens)
+
+
+XOR8 = [[i ^ j for j in range(8)] for i in range(8)]  # Z/2 x Z/2 x Z/2
+
+
+@pytest.mark.parametrize("group, size", [
+    (make_symmetric(3), 2), (make_cyclic(1), 0), *((make_cyclic(n), 1) for n in range(2, 13)),
+    ("xor8", 3),
+], ids=["S3", *(f"Z{n}" for n in range(1, 13)), "Z2^3"])
+def test_generators_where_the_first_missing_elements_are_fewest(group, size):
+    group = table_group(XOR8) if group == "xor8" else group
+    assert group.generators == first_missing_generators(group)
+    assert len(group.generators) == size
+
+
+@pytest.mark.parametrize("n, gens", [(4, ("1243", "2314")), (5, ("12354", "23415"))])
+def test_generators_of_s4_and_s5_are_two(n, gens):
+    G = make_symmetric(n)
+    assert G.generators == gens
+    assert gens[0] == G.elements[1]  # the first element that is not the identity
+    assert len(first_missing_generators(G)) == n - 1
+
+
 def table_group(rows):
     els = [str(i) for i in range(len(rows))]
     return FiniteGroup(

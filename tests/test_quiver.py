@@ -113,6 +113,60 @@ def test_index_against_a_scan_of_the_tuples(q):
         assert q.out_edges(v) == [e for e in q.edges if e.src == v]
 
 
+def quiver_documents(count):
+    """Seeded quiver documents with weights spelled more than one way ("2/4" and
+    "1/2"), some nonpositive, and in turn a repeated vertex id or edge id."""
+    rng = random.Random(23)
+    for i in range(count):
+        vertices = [f"v{j}" for j in range(rng.randint(1, 6))]
+        if i % 3 == 1:
+            vertices.insert(rng.randrange(len(vertices)), rng.choice(vertices))
+        edges = []
+        for j in range(rng.randint(0, 12)):
+            num, den, k = rng.choice((1, 2, 3) * 10 + (0, -1)), rng.randint(1, 3), rng.randint(1, 3)
+            edges.append({"id": f"e{j}", "src": rng.choice(vertices), "rng": rng.choice(vertices),
+                          "weight": f"{num * k}/{den * k}" if rng.random() < 0.5 else str(num)})
+        if i % 3 == 2 and edges:
+            edges.insert(rng.randrange(len(edges)), dict(rng.choice(edges), src=vertices[0]))
+        yield {"vertices": vertices, "edges": edges}
+
+
+def test_the_parsed_view_is_the_view_of_the_tuples():
+    seen = Counter()
+    for doc in quiver_documents(240):
+        q = qio.parse_quiver_document(doc)
+        assert "index" in vars(q)  # written by the parser, not on first use
+        plain = FiniteQuiver(q.vertices, q.edges)
+        # plain has no view yet, so validate_quiver names its items one by one
+        assert validate_quiver(q) == validate_quiver(plain)
+        assert "index" not in vars(plain)
+        for name, parsed, built in zip(q.index._fields, q.index, plain.index):
+            if isinstance(built, dict):
+                parsed, built = list(parsed.items()), list(built.items())
+            assert parsed == built, name
+        spellings = {}
+        for e, c in zip(doc["edges"], q.index.weight):
+            spellings.setdefault(c, set()).add(e["weight"])
+        seen.update({"two spellings": any(len(s) > 1 for s in spellings.values()),
+                     "repeated vertex": len(q.index.pos) < len(q.vertices),
+                     "repeated edge": len(q._edge_pos) < len(q.edges),
+                     "valid": not validate_quiver(q)})
+    assert min(seen.values()) >= 30, seen
+
+
+def test_a_parsed_quiver_with_a_dangling_endpoint_has_no_view():
+    q = qio.parse_quiver_document({"vertices": ["v", "v"], "edges": [
+        {"id": "e", "src": "v", "rng": "x", "weight": "1"},
+        {"id": "e", "src": "y", "rng": "v", "weight": "-2/4"}]})
+    assert "index" not in vars(q)
+    with pytest.raises(KeyError):
+        q.index
+    assert validate_quiver(q) == [
+        "duplicate vertex id: 'v'", "dangling endpoint: edge 'e' has rng 'x'",
+        "duplicate edge id: 'e'", "dangling endpoint: edge 'e' has src 'y'",
+        "nonpositive weight: edge 'e' has weight -1/2"]
+
+
 def test_a_quiver_holds_its_two_tuples_until_a_reader_runs():
     q = FiniteQuiver(["u", "v"], [("a", "u", "v", 1)])
     assert validate_quiver(q) == [] and q == FiniteQuiver(q.vertices, q.edges)

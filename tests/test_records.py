@@ -1,5 +1,6 @@
-"""The record types: their repr text, immutability and equality by value, and
-that importing the CLI loads neither ``dataclasses`` nor ``typing``."""
+"""The record types: their repr text, immutability and equality by value; that
+importing the CLI loads neither ``dataclasses`` nor ``typing`` nor the modules
+only some commands use; and the package's names, resolved on first use."""
 
 import ast
 import os
@@ -136,3 +137,17 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_typing():
     loaded = modules("import quiverskew.cli, sys; ") - modules("import sys; ")
     assert "quiverskew.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "ast", "dis"}
+    # the commands that use them import these
+    assert not loaded & {"quiverskew.cstar", "quiverskew.verify", "quiverskew.randgen"}
+
+
+def test_the_package_names_resolve_on_first_use():
+    names = {}
+    exec("from quiverskew import *", names)
+    assert set(names) - {"__builtins__"} == set(quiverskew.__all__)
+    for name in quiverskew.__all__:
+        module = sys.modules[f"quiverskew.{quiverskew._HOME[name]}"]
+        assert getattr(quiverskew, name) is getattr(module, name) is names[name]
+    assert set(quiverskew.__all__) <= set(dir(quiverskew))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        quiverskew.nope
