@@ -5,10 +5,9 @@ never touches floating point.  Emitted documents re-parse to equal values;
 on canonical documents (sorted ids, reduced fractions) parse . emit is the
 identity byte-for-byte.
 
-Each document is read once, here: the quiver parser writes the quiver's index
-view as it reads the edge records, and the action parser builds what the
-action determines on the quiver, which also shows that every image is one of
-the quiver's (string) ids.  Past the boundary, layers read integer positions.
+Each document is read once, here: the action parser builds what the action
+determines on the quiver, which also shows that every image is one of the
+quiver's (string) ids.  Past the boundary, layers read integer positions.
 """
 
 import itertools
@@ -17,7 +16,7 @@ import re
 from fractions import Fraction
 from operator import itemgetter
 
-from .quiver import Edge, FiniteQuiver, _Index
+from .quiver import Edge, FiniteQuiver
 from .group import (
     MAX_ORDER,
     FiniteGroup,
@@ -72,11 +71,8 @@ _edge_fields = itemgetter(*_EDGE_FIELDS)
 
 
 def parse_quiver_document(obj):
-    """A quiver from its document, with its index view (see ``FiniteQuiver.index``)
-    written as the edge records are read; each distinct weight string is parsed once.
-
-    If an endpoint is not a vertex, the quiver gets no view: ``validate_quiver``
-    reports the endpoint, and ``index`` raises KeyError as it does on any such quiver.
+    """A quiver from its document, read column by column; each distinct weight
+    string is parsed once.  Its index view is built on first use, as for any quiver.
     """
     vertices = tuple(_require(obj, "vertices", list, "quiver document"))
     raw_edges = _require(obj, "edges", list, "quiver document")
@@ -93,22 +89,9 @@ def parse_quiver_document(obj):
                 _require(rec, key, str, "edge record")
             parse_fraction(rec["weight"])
     ids, srcs, rngs, texts = columns
-    weights, classes, class_of = {}, {}, {}
-    for text in dict.fromkeys(texts):
-        w = weights[text] = parse_fraction(text)
-        class_of[text] = classes.setdefault(w.as_integer_ratio(), len(classes))
-    edges = tuple(map(tuple.__new__, itertools.repeat(Edge),
-                      zip(ids, srcs, rngs, map(weights.__getitem__, texts))))
-    pos = {v: i for i, v in enumerate(vertices)}
-    try:
-        src, rng = tuple(map(pos.__getitem__, srcs)), tuple(map(pos.__getitem__, rngs))
-    except KeyError:
-        return FiniteQuiver(vertices, edges)
-    out = [[] for _ in vertices]
-    for i, s in enumerate(src):
-        out[s].append(i)
-    return FiniteQuiver._indexed(vertices, edges, _Index(
-        pos, src, rng, tuple(map(class_of.__getitem__, texts)), classes, tuple(map(tuple, out))))
+    weights = {text: parse_fraction(text) for text in dict.fromkeys(texts)}
+    return FiniteQuiver(vertices, map(tuple.__new__, itertools.repeat(Edge),
+                                      zip(ids, srcs, rngs, map(weights.__getitem__, texts))))
 
 
 def emit_quiver_document(q):
@@ -168,7 +151,8 @@ def parse_cocycle_document(obj, q):
 
 def parse_action_document(obj, q):
     """The action of its document on q, a quiver that validates, with what the
-    action determines on q built (see ``group``).
+    action determines on q built (see ``group``).  Its ``vperm`` and ``eperm``
+    each have one key per group element, and no other keys.
 
     Its tables must map to strings.  When every id of q is a string, translating
     a table onto q's items proves that of its images, so the images are tested
@@ -177,6 +161,9 @@ def parse_action_document(obj, q):
     group = parse_group_document(_require(obj, "group", dict, "action document"))
     vperm = _require(obj, "vperm", dict, "action document")
     eperm = _require(obj, "eperm", dict, "action document")
+    for g in itertools.chain(vperm, eperm):
+        if g not in group.table:
+            raise ParseError(f"action document: {g!r} is not a group element")
     els = group.elements
     if all(g in t and isinstance(t[g], dict) for g in els for t in (vperm, eperm)):
         action = QuiverAction(group, {g: vperm[g] for g in els}, {g: eperm[g] for g in els})

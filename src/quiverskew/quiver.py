@@ -3,10 +3,9 @@
 A quiver here is a finite directed multigraph whose edges carry strictly
 positive rational weights.  All arithmetic is exact: weights are
 ``fractions.Fraction`` and every comparison is an equality of rationals,
-never a float tolerance.  A quiver's integer view ``index`` is built on first
-use, or written by the builder that numbers it (the document parser in ``io``
-and ``skew_product``); ``validate_quiver`` decides a quiver that holds its
-view from the view.
+never a float tolerance.  A quiver's integer view ``index`` is assembled here
+only, on first use or from the columns a builder writes (``FiniteQuiver._indexed``),
+and ``validate_quiver`` decides every quiver from it.
 """
 
 from fractions import Fraction
@@ -53,7 +52,7 @@ class FiniteQuiver:
     problems); every other operation assumes a quiver that validates.
     Iteration order everywhere is the declared input order, which makes all
     downstream operations deterministic.  ``index`` is built on first use,
-    unless the builder that numbered the quiver hands it over (``_indexed``).
+    unless the builder that numbered the quiver hands its columns over (``_indexed``).
     """
 
     def __init__(self, vertices, edges):
@@ -69,18 +68,18 @@ class FiniteQuiver:
         pos = {v: i for i, v in enumerate(self.vertices)}
         _, srcs, rngs, weights = zip(*self.edges) if self.edges else ((),) * 4
         src, rng = (tuple(map(pos.__getitem__, ends)) for ends in (srcs, rngs))
-        classes, out = {}, [[] for _ in self.vertices]
-        for i, s in enumerate(src):
-            out[s].append(i)
+        classes = {}
         weight = tuple(classes.setdefault(w.as_integer_ratio(), len(classes)) for w in weights)
-        return _Index(pos, src, rng, weight, classes, tuple(map(tuple, out)))
+        return _index(self.vertices, pos, src, rng, weight, classes)
 
     @classmethod
-    def _indexed(cls, vertices, edges, index):
-        """The quiver of the tuples ``vertices`` and ``edges`` (of ``Edge``), with
-        ``index`` as its view, for a builder that numbers them as it builds them."""
+    def _indexed(cls, vertices, edges, src, rng, weight, classes):
+        """The quiver of the tuples ``vertices`` and ``edges`` (of ``Edge``) and its view
+        of these columns (see ``index``), for a builder that numbers them as it builds them."""
         q = cls.__new__(cls)
-        q.vertices, q.edges, q.index = vertices, edges, index
+        q.vertices, q.edges = vertices, edges
+        q.index = _index(vertices, {v: i for i, v in enumerate(vertices)},
+                         src, rng, weight, classes)
         return q
 
     @cached_property
@@ -126,15 +125,25 @@ QuiverIso = namedtuple("QuiverIso", "forward")
 _Index = namedtuple("_Index", "pos src rng weight classes out")
 
 
+def _index(vertices, pos, src, rng, weight, classes):
+    """The view of these columns, with ``out`` listed from ``src``, one entry per vertex."""
+    out = [[] for _ in vertices]
+    for i, s in enumerate(src):
+        out[s].append(i)
+    return _Index(pos, src, rng, weight, classes, tuple(map(tuple, out)))
+
+
 def validate_quiver(q):
     """Return a list of violation strings; empty means the quiver is valid.
 
-    A quiver that already holds its index view (one that ``parse_quiver_document``
-    or ``skew_product`` built) is decided from it: the view exists only if every
+    The quiver is decided from its index view: the view exists only if every
     endpoint is a vertex, and a repeated id shrinks ``pos`` or ``_edge_pos``.  The
     items are named one by one only when that finds a fault, or without a view.
     """
-    ix = vars(q).get("index")
+    try:
+        ix = q.index
+    except KeyError:  # a dangling endpoint
+        ix = None
     if (ix and len(ix.pos) == len(q.vertices) and len(q._edge_pos) == len(q.edges)
             and all(n > 0 for n, _ in ix.classes)):
         return []

@@ -28,7 +28,6 @@ from .quiver import (
     FiniteQuiver,
     QuiverIso,
     QuiverMorphism,
-    _Index,
     check_iso,
 )
 from .group import QuiverAction, _facts, _getter, orbits
@@ -86,13 +85,13 @@ def _copies(q, G):
 def skew_product(q, kappa):
     """The skew product quiver q x_kappa G with canonical pair ids v@g, e@g.
 
-    Its index view is written with its tuples, in the one numbering of the
-    copies, and edge (e, g) has e's weight class in q's view."""
+    Its index view's columns are written with its tuples, in the one numbering
+    of the copies, and edge (e, g) has e's weight class in q's view."""
     G = kappa.group
     n, at = G.order, {h: j for j, h in enumerate(G.elements)}
     vids, eids = _copies(q, G)
     ix = q.index
-    edges, src, rng, out = [], [], [], [[] for _ in vids]
+    edges, src, rng = [], [], []
     for e, s, r in zip(q.edges, ix.src, ix.rng):
         k = kappa.value(e.id)
         if k not in at:
@@ -100,14 +99,12 @@ def skew_product(q, kappa):
         times, s, r = G.table[k], s * n, r * n
         for j, g in enumerate(G.elements):
             a, b = s + j, r + at[times[g]]
-            out[a].append(len(src))
             edges.append(Edge._make((eids[len(src)], vids[a], vids[b], e.weight)))
             src.append(a)
             rng.append(b)
-    view = _Index({x: i for i, x in enumerate(vids)}, tuple(src), tuple(rng),
-                  tuple([c for c in ix.weight for _ in range(n)]), dict(ix.classes),
-                  tuple(map(tuple, out)))
-    return FiniteQuiver._indexed(vids, tuple(edges), view)
+    return FiniteQuiver._indexed(vids, tuple(edges), tuple(src), tuple(rng),
+                                 tuple([c for c in ix.weight for _ in range(n)]),
+                                 dict(ix.classes))
 
 
 def translation_action(q, kappa):

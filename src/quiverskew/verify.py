@@ -24,6 +24,7 @@ dimension.
 """
 
 import itertools
+import sys
 
 from .quiver import check_iso
 from .group import edge_free, is_free, orbits, validate_action
@@ -58,7 +59,8 @@ def all_sections(q, a, budget):
     """Sections of the vertex-orbit map, in deterministic order, capped."""
     v_orbits, _ = orbits(q, a)
     reps = [orb[0] for orb in v_orbits]
-    choices = itertools.islice(itertools.product(*v_orbits), budget)
+    # islice refuses a stop above sys.maxsize, and no larger budget can be reached.
+    choices = itertools.islice(itertools.product(*v_orbits), min(budget, sys.maxsize))
     return [Section(dict(zip(reps, choice))) for choice in choices]
 
 

@@ -372,6 +372,17 @@ class TestVerify:
     def test_missing_args(self):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize("args", [["loop", "kappa"], ["--random", "1"]],
+                             ids=["files", "random"])
+    def test_a_budget_above_sys_maxsize_is_the_default_budget(
+            self, loop_file, z2_cocycle_file, capsys, args):
+        argv = ["verify"] + [{"loop": loop_file, "kappa": z2_cocycle_file}.get(a, a) for a in args]
+        assert main(argv + ["--budget", "24"]) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and "FAIL" not in out.out
+        assert main(argv + ["--budget", str(sys.maxsize + 1)]) == 0
+        assert capsys.readouterr() == out
+
     @pytest.mark.parametrize("args, err", [
         (["--random", "1", "--budget", "0"], "--budget must be at least 1"),
         (["--random", "1", "--budget", "-1"], "--budget must be at least 1"),
@@ -666,6 +677,14 @@ def test_run_suite_validates_and_takes_the_quotient_once(monkeypatch):
     assert len(built) == 1 and built[0].report == [] and built[0].quotient is not None
 
 
+def test_a_section_budget_above_sys_maxsize_tries_every_section():
+    q = qio.parse_quiver_document(LOOP_DOC)
+    kappa = qio.parse_cocycle_document({"group": Z2, "map": {"e": "1"}}, q)
+    results = verify_mod.run_suite(q, kappa, section_budget=2**63)
+    assert results == verify_mod.run_suite(q, kappa, section_budget=2)
+    assert all(ok for _, ok, _ in results)
+
+
 def test_gross_tucker_roundtrip_fails_when_no_section_is_tried():
     q = qio.parse_quiver_document(S3_CYCLIC[0])
     kappa = qio.parse_cocycle_document(S3_CYCLIC[1], q)
@@ -835,6 +854,19 @@ class TestParseMessages:
             qio.parse_quiver_document({"vertices": ["v"], "edges": [EDGE, rec]})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("perms, key", [
+        ({"vperm": {"0": {"v": "v", "w": "w"}, "9": 5, "1": {"v": "w", "w": "v"}, "8": {}},
+          "eperm": {"0": {"a": "a", "b": "b"}, "7": {}, "1": {"a": "b", "b": "a"}}}, "9"),
+        ({"eperm": {"7": {}, "0": {"a": "a", "b": "b"}, "6": 5, "1": {"a": "b", "b": "a"}}},
+         "7"),
+        ({"vperm": {"1": {"v": "w", "w": "v"}, "01": {}}}, "01"),
+    ], ids=["vperm-first", "eperm-in-order", "missing-element-too"])
+    def test_action_key_that_is_not_a_group_element(self, perms, key):
+        q = qio.parse_quiver_document(SWAP_QUIVER)
+        with pytest.raises(qio.ParseError) as info:
+            qio.parse_action_document(dict(SWAP_ACTION, **perms), q)
+        assert str(info.value) == f"action document: {key!r} is not a group element"
+
     def test_cocycle_key_that_is_not_an_edge(self):
         q = qio.parse_quiver_document(SWAP_QUIVER)
         doc = {"group": Z2, "map": {"a": "1", "yy": "0", "b": "0", "zz": "1"}}
@@ -850,6 +882,15 @@ def test_a_cocycle_key_that_is_not_an_edge_exits_2(tmp_path, capsys, command):
     argv = [command, qf, "--cocycle", kf] if command == "invariants" else [command, qf, kf]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "parse error: cocycle document: 'zz' is not an edge\n")
+
+
+@pytest.mark.parametrize("command", ["quotient", "reconstruct"])
+def test_an_action_key_that_is_not_a_group_element_exits_2(tmp_path, loop_file, capsys, command):
+    af = write(tmp_path / "a.json", {"group": {"kind": "cyclic", "n": 1},
+                                     "vperm": {"0": {"v": "v"}, "9": 5},
+                                     "eperm": {"0": {"e": "e"}}})
+    assert main([command, loop_file, af]) == 2
+    assert capsys.readouterr() == ("", "parse error: action document: '9' is not a group element\n")
 
 
 class TestSharedGroups:

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -135,11 +136,9 @@ def test_the_parsed_view_is_the_view_of_the_tuples():
     seen = Counter()
     for doc in quiver_documents(240):
         q = qio.parse_quiver_document(doc)
-        assert "index" in vars(q)  # written by the parser, not on first use
+        assert "index" not in vars(q)  # built on first use, as for any quiver
         plain = FiniteQuiver(q.vertices, q.edges)
-        # plain has no view yet, so validate_quiver names its items one by one
         assert validate_quiver(q) == validate_quiver(plain)
-        assert "index" not in vars(plain)
         for name, parsed, built in zip(q.index._fields, q.index, plain.index):
             if isinstance(built, dict):
                 parsed, built = list(parsed.items()), list(built.items())
@@ -168,12 +167,32 @@ def test_a_parsed_quiver_with_a_dangling_endpoint_has_no_view():
 
 
 def test_a_quiver_holds_its_two_tuples_until_a_reader_runs():
-    q = FiniteQuiver(["u", "v"], [("a", "u", "v", 1)])
-    assert validate_quiver(q) == [] and q == FiniteQuiver(q.vertices, q.edges)
-    hash(q)
-    assert set(vars(q)) == {"vertices", "edges"}
-    q.out_edges("u")
-    assert set(vars(q)) == {"vertices", "edges", "index"}
+    for read in (validate_quiver, lambda q: q.out_edges("u")):
+        q = FiniteQuiver(["u", "v"], [("a", "u", "v", 1)])
+        assert q == FiniteQuiver(q.vertices, q.edges)
+        hash(q)
+        assert set(vars(q)) == {"vertices", "edges"}
+        read(q)
+        assert "index" in vars(q)
+
+
+def test_a_repeated_vertex_id_gets_its_own_out_entry():
+    vertices, edges = ("v", "w", "v"), (Edge("a", "w", "v", 1), Edge("b", "v", "v", 1))
+    built = FiniteQuiver(vertices, edges).index
+    handed = FiniteQuiver._indexed(vertices, edges, built.src, built.rng, built.weight,
+                                   built.classes).index
+    for ix in (built, handed):
+        assert ix.pos == {"v": 2, "w": 1}
+        assert ix.out == ((), (0,), (1,))
+
+
+def test_only_the_quiver_module_assembles_an_index_view():
+    src = Path(quiverskew.__file__).parent
+    callers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and "_Index" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"quiver.py"}
 
 
 def test_a_repeated_edge_id_names_its_first_edge():
