@@ -8,20 +8,24 @@ those before it, so S4 and S5 have two), not against all pairs or triples
 of elements, so validation is O(|G|.|S|.(|V|+|E|)) for an action and
 O(|G|^2.|S|) for a Cayley table.
 
-An action's tables are read-only copies that its constructor makes, from
-mappings or (x, x.g) pairs, so what an action determines on a quiver cannot
-go stale.  All of it is one private object per (action, quiver object) pair,
-built once: the index view (per element, the tuple of the image indices of
-q's vertices and of its edges, built in O(|G|.(|V|+|E|))), the validation
-report, freeness, the orbits and, for a valid free action, the quotient and
-its projection.  The action parser in ``io`` builds it; ``validate_action``,
-``is_free``, ``orbits`` and the quotient and Gross-Tucker functions in
-``skew`` read it.  Each law compares whole tuples, and the orbits read one
-column of the tables per orbit.
+An action holds read-only string tables, or integer tables (per element,
+the image positions of a tuple of ids) behind a string view built when read.
+All that it determines on a quiver is one private object per (action,
+quiver object) pair, built once: the index view (per element, the image
+indices of q's vertices and of its edges: integer tables in q's numbering
+as they are, others translated in O(|G|.(|V|+|E|))), the validation report,
+freeness, the orbits and, for a valid free action, the quotient and its
+projection, which ``validate_action``, ``is_free``, ``orbits`` and ``skew``
+read.  A table is searched for a repeated image only if a law fails: if the
+identity acts as the identity and v.(g*s) == (v.g).s for all g and s in S,
+t[g^-1] o t[g] = t[e] = id.  And a valid action is free iff each vertex
+orbit has |G| points (orbit-stabiliser), so fixed points are searched for
+only if it is invalid.
 """
 
 import itertools
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cache, cached_property
 from operator import itemgetter, ne
 from types import MappingProxyType
@@ -175,24 +179,49 @@ def _proxy(table):
     return MappingProxyType({g: MappingProxyType(dict(p)) for g, p in table.items()})
 
 
+class _Tables(Mapping):
+    """The read-only view {element -> {x -> x.g}} of integer tables over ``ids``, built
+    on first read; it equals, and prints as, ``_proxy`` of the same tables."""
+
+    __slots__ = ("ids", "tables", "_view")
+
+    def __init__(self, ids, tables):
+        self.ids, self.tables, self._view = ids, tables, None
+
+    def __getitem__(self, g):
+        if self._view is None:
+            self._view = _proxy({h: zip(self.ids, _getter(t)(self.ids))
+                                 for h, t in self.tables.items()})
+        return self._view[g]
+
+    def __iter__(self):
+        return iter(self.tables)
+
+    def __len__(self):
+        return len(self.tables)
+
+    def __repr__(self):
+        return repr(_proxy(self))
+
+
 class QuiverAction(namedtuple("QuiverAction", "group vperm eperm")):
     """Right action of a finite group on a quiver, as permutation tables.
 
     ``vperm`` maps each element to {vertex -> vertex}, ``eperm`` to {edge id
     -> edge id}.  The constructor makes the one read-only copy of the tables
-    passed in, each a mapping or an iterable of (x, x.g) pairs: assigning to
-    ``a.vperm[g][v]`` raises ``TypeError``, and later changes to the caller's
-    dicts do not reach the action.  Actions compare by (group, vperm, eperm),
-    are not hashable, and take no attribute assignment.  What the action
-    determines on a quiver (validation report, freeness, orbits, quotient; see
-    the module docstring) is built once per quiver object and kept in a memo
-    keyed by the quiver's identity, which holds a reference to the quiver.
+    passed in, each a mapping or an iterable of (x, x.g) pairs, and keeps a
+    ``_Tables`` as it is: assigning to ``a.vperm[g][v]`` raises ``TypeError``,
+    and later changes to the caller's dicts do not reach the action.  Actions
+    compare by (group, vperm, eperm), are not hashable, take no attribute
+    assignment, and keep what they determine on a quiver (see the module
+    docstring) in a memo keyed by the quiver's identity, which holds the quiver.
     """
 
     __hash__ = None
 
     def __new__(cls, group, vperm, eperm):
-        a = tuple.__new__(cls, (group, _proxy(vperm), _proxy(eperm)))
+        a = tuple.__new__(cls, (group, *(t if isinstance(t, _Tables) else _proxy(t)
+                                         for t in (vperm, eperm))))
         a.__dict__["_memo"] = {}
         return a
 
@@ -222,9 +251,22 @@ class _Side(namedtuple("_Side", "kind items pos tables")):
 
     __slots__ = ()
 
-    def fixed_point_free(self, ident):
-        """True iff no element but ``ident`` fixes one of the items."""
-        return all(all(map(ne, t, range(len(t)))) for g, t in self.tables.items() if g != ident)
+    def indexed(self, perms, elements):
+        """Per element, its table as image indices: a ``_Tables`` over items as it is,
+        else translated, or None if it is missing, maps other keys than the items
+        or has an image that is no item.  Repeated images are not searched for."""
+        if isinstance(perms, _Tables) and perms.ids == self.items:
+            return perms.tables
+        tables, n = {}, len(self.pos)
+        for g in elements:
+            p = perms.get(g)
+            try:  # KeyError: an item without image, or an image that is no item;
+                # TypeError: an image that cannot be a key
+                t = None if p is None else _getter(_getter(self.items)(p))(self.pos)
+            except (KeyError, TypeError):
+                t = None
+            tables[g] = t if t is not None and len(p) == n else None
+        return tables
 
     def orbits(self):
         """``orbits`` of the items: the orbit of x is the set of column x of the tables,
@@ -238,39 +280,37 @@ class _Side(namedtuple("_Side", "kind items pos tables")):
 
 
 class _Facts:
-    """All that the action a determines on the quiver q, built once per pair by ``_facts``.
-
-    The index view: ``vertices`` and ``edges`` are a ``_Side`` each, numbered as
-    ``q.index`` numbers them.  ``error`` names the first table (g outer, vertices
-    first) that is not a permutation of q's items; then ``report`` is [error]
-    and the rest is None.  Else ``report`` is validate_action's, ``free`` is
-    freeness on vertices, ``orbits`` the vertex and edge orbits, and ``quotient`` and
-    ``proj`` the orbit quiver and the projection onto it (None unless valid and free).
+    """All that the tables vperm and eperm of G determine on the quiver q, built once
+    per (action, quiver) pair.  The index view: ``vertices`` and ``edges`` are a
+    ``_Side`` each, numbered as ``q.index`` numbers them.  ``error`` names the
+    first table (g outer, vertices first) that is not a permutation of q's items;
+    then ``report`` is [error] and the rest is None.  Else ``report`` is
+    validate_action's, ``free`` is freeness on vertices, ``orbits`` the vertex and
+    edge orbits, and ``quotient`` and ``proj`` the orbit quiver and the projection
+    onto it (None unless valid and free).
     """
 
-    def __init__(self, q, a):
+    def __init__(self, q, G, vperm, eperm):
         self.quiver = q  # the memo is keyed by id(q): holding q keeps that id from being reused
         self.vertices, self.edges = sides = (
             _Side("vertex", q.vertices, q.index.pos, {}),
             _Side("edge", tuple(e.id for e in q.edges), q._edge_pos, {}))
         self.error = self.free = self.orbits = self.quotient = self.proj = None
-        for g in a.group.elements:
-            for side, perms in zip(sides, (a.vperm, a.eperm)):
-                p, n = perms.get(g), len(side.pos)
-                try:  # KeyError: an item without image, or an image that is no item;
-                    # TypeError: an image that cannot be a key
-                    t = None if p is None else _getter(_getter(side.items)(p))(side.pos)
-                except (KeyError, TypeError):
-                    t = None
-                if t is None or len(p) != n or len(set(t)) != n:
-                    self.error = (f"{side.kind} permutation for {g!r} is not a permutation of the "
-                                  + ("vertices" if side.kind == "vertex" else "edges"))
-                    self.report = [self.error]
-                    return
-                side.tables[g] = t
-        self.report = self._laws(q, a.group)
-        self.free = self.vertices.fixed_point_free(a.group.identity)
+        for side, perms in zip(sides, (vperm, eperm)):
+            side.tables.update(side.indexed(perms, G.elements))
+        self.report = None if any(None in side.tables.values() for side in sides) else (
+            self._laws(q, G))
+        for g, side in itertools.product(G.elements, sides) if self.report != [] else ():
+            t = side.tables[g]  # only now may a table repeat an image (module docstring)
+            if t is None or len(set(t)) != len(side.pos):
+                self.error = (f"{side.kind} permutation for {g!r} is not a permutation of the "
+                              + ("vertices" if side.kind == "vertex" else "edges"))
+                self.report = [self.error]
+                return
         self.orbits = self.vertices.orbits(), self.edges.orbits()
+        self.free = (all(len(orb) == G.order for orb in self.orbits[0]) if not self.report
+                     else all(all(map(ne, t, range(len(t))))  # no fixed point
+                              for g, t in self.vertices.tables.items() if g != G.identity))
         if self.report or not self.free:
             return
         v_rep, e_rep = ({x: orb[0] for orb in parts for x in orb} for parts in self.orbits)
@@ -319,8 +359,18 @@ def _facts(q, a):
     """The ``_Facts`` of a on q: built on the first call for this quiver object,
     taken from a's memo after that."""
     if id(q) not in a._memo:
-        a._memo[id(q)] = _Facts(q, a)
+        a._memo[id(q)] = _Facts(q, a.group, a.vperm, a.eperm)
     return a._memo[id(q)]
+
+
+def _parsed_action(q, G, vperm, eperm):
+    """The action of G whose tables are the dicts vperm and eperm, with its ``_Facts``
+    on q built: its integer tables, or a copy of the strings if one is not a permutation."""
+    facts = _Facts(q, G, vperm, eperm)
+    a = QuiverAction(G, *(({g: t[g] for g in G.elements} for t in (vperm, eperm)) if facts.error
+                          else (_Tables(s.items, s.tables) for s in (facts.vertices, facts.edges))))
+    a._memo[id(q)] = facts
+    return a
 
 
 def validate_action(q, a):
@@ -328,11 +378,8 @@ def validate_action(q, a):
 
     Returns a fresh list of violation strings, empty for a valid action; the
     check runs once per (action, quiver) pair.  Each element must act by a
-    permutation and the identity as the identity.  The remaining laws are
-    checked for g in G and s in the generating set S only: v.(g*s) ==
-    (v.g).s for all g and s gives the law for all pairs by induction on the
-    length of h as a word in S, and the commuting and weight laws then pass
-    from S to products of its members.
+    permutation and the identity as the identity; the other laws are checked
+    on G x S, which gives them on G x G by induction on word length in S.
     """
     return list(_facts(q, a).report)
 
@@ -348,11 +395,6 @@ def _permuting(q, a):
 def is_free(q, a):
     """True iff no non-identity element fixes a vertex; raises GroupError as ``orbits`` does."""
     return _permuting(q, a).free
-
-
-def edge_free(q, a):
-    """Freeness on edges; implied by vertex freeness, asserted as a property."""
-    return _permuting(q, a).edges.fixed_point_free(a.group.identity)
 
 
 def orbits(q, a):

@@ -5,9 +5,9 @@ never touches floating point.  Emitted documents re-parse to equal values;
 on canonical documents (sorted ids, reduced fractions) parse . emit is the
 identity byte-for-byte.
 
-Each document is read once, here: the action parser builds what the action
-determines on the quiver, which also shows that every image is one of the
-quiver's (string) ids.  Past the boundary, layers read integer positions.
+Each document is read once, here: the action parser translates an action's
+tables to integer positions on the quiver, which also shows that every image
+is one of the quiver's (string) ids, and past the boundary layers read them.
 """
 
 import itertools
@@ -21,8 +21,8 @@ from .group import (
     MAX_ORDER,
     FiniteGroup,
     GroupError,
-    QuiverAction,
     _facts,
+    _parsed_action,
     make_cyclic,
     make_symmetric,
     validate_group,
@@ -150,13 +150,13 @@ def parse_cocycle_document(obj, q):
 
 
 def parse_action_document(obj, q):
-    """The action of its document on q, a quiver that validates, with what the
-    action determines on q built (see ``group``).  Its ``vperm`` and ``eperm``
-    each have one key per group element, and no other keys.
-
-    Its tables must map to strings.  When every id of q is a string, translating
-    a table onto q's items proves that of its images, so the images are tested
-    one by one only if some table does not translate or q has another id.
+    """The action of its document on q, a quiver that validates, as integer tables
+    translated once onto q's items, with what it determines on q built (see
+    ``group``).  Its ``vperm`` and ``eperm`` each have one key per group element,
+    and no other keys, and its tables must map to strings.  When every id of q is
+    a string, translating a table onto q's items proves that of its images, so
+    the images are tested one by one only if some table does not translate or q
+    has another id.
     """
     group = parse_group_document(_require(obj, "group", dict, "action document"))
     vperm = _require(obj, "vperm", dict, "action document")
@@ -166,7 +166,7 @@ def parse_action_document(obj, q):
             raise ParseError(f"action document: {g!r} is not a group element")
     els = group.elements
     if all(g in t and isinstance(t[g], dict) for g in els for t in (vperm, eperm)):
-        action = QuiverAction(group, {g: vperm[g] for g in els}, {g: eperm[g] for g in els})
+        action = _parsed_action(q, group, vperm, eperm)
         facts = _facts(q, action)
         if not facts.error and _strings(facts.vertices.items) and _strings(facts.edges.items):
             return action
@@ -188,9 +188,10 @@ def dumps(obj):
     for every obj that call accepts.  It is written by ``_emit`` instead of the
     standard library's pure-Python indent encoder: strings go through the C
     ``encode_basestring_ascii``, ints through ``int.__repr__``, a list of only
-    str or only int is joined in one call, and so is each entry of a dict whose
-    values are all non-empty lists (or tuples) of str, such as a witness's
-    ``phi`` and ``sigma``.
+    str or only int is joined in one call, and a dict of str keys whose values
+    are all non-empty lists (or tuples) of str of one width, such as a
+    witness's ``phi`` and ``sigma``, is written from one template, filled with
+    every string quoted in one pass.
     """
     out = []
     _emit(obj, "\n", out)
@@ -240,13 +241,14 @@ def _emit(o, ind, out):
         inner = ind + "  "
         lists = o.values()
         if (all(map(isinstance, lists, itertools.repeat((list, tuple)))) and all(lists)
+                and len(set(map(len, lists))) == 1 and _strings(o)
                 and _strings(itertools.chain.from_iterable(lists))):
-            # Every value a non-empty list of str: one join per entry.
+            # str keys, values str lists of one width: one template, every string quoted once.
             deeper = inner + "  "
-            head, sep, tail = ": [" + deeper, "," + deeper, inner + "]"
-            out += ("{", inner, ("," + inner).join([
-                _quote(_key(k)) + head + sep.join(map(_quote, v)) + tail for k, v in o.items()]),
-                ind, "}")
+            entry = ("%s: [" + deeper + ("," + deeper).join(["%s"] * len(next(iter(lists))))
+                     + inner + "]")
+            quoted = tuple(map(_quote, itertools.chain.from_iterable(zip(o, *zip(*lists)))))
+            out += ("{", inner, ("," + inner).join([entry] * len(o)) % quoted, ind, "}")
             return
         sep = "{" + inner
         for k, v in o.items():

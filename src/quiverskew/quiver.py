@@ -167,29 +167,6 @@ def validate_quiver(q):
     return report
 
 
-def check_morphism(src_q, dst_q, m):
-    """True iff m commutes with both src and rng maps.
-
-    Raises QuiverError if m references ids unknown to either quiver.
-    """
-    for kind, items, mapping, known in (
-        ("vertex", src_q.vertices, m.vmap, set(dst_q.vertices).__contains__),
-        ("edge", [e.id for e in src_q.edges], m.emap, dst_q.has_edge),
-    ):
-        for x in items:
-            if x not in mapping:
-                raise QuiverError(f"morphism undefined on {kind} {x!r}")
-            if not known(mapping[x]):
-                raise QuiverError(f"morphism maps {kind} {x!r} outside target")
-    for e in src_q.edges:
-        img = dst_q.edge(m.emap[e.id])
-        if img.src != m.vmap[e.src]:
-            return False
-        if img.rng != m.vmap[e.rng]:
-            return False
-    return True
-
-
 def _bijection(m, dom, cod):
     return m.keys() == dom and set(m.values()) == cod and len(dom) == len(cod)
 

@@ -9,28 +9,19 @@ action arises this way once a section of the vertex orbits is chosen.
 The copies have one numbering: copy (x, h) of the vertex (or edge) at
 position i, h at position j of G.elements, is vertex (or edge) i*|G| + j.
 ``_copies`` names them ``x@h`` in that order; ``skew_product`` writes the
-product's index view from the base's as it builds its tuples; and the
-first-factor map and ``verify``'s layer map read x and h off a position.
-The Gross-Tucker witness is checked against this defining rule on the
-index view, not against a skew product built to compare with.
-``quotient_quiver``, ``lift_system`` and ``gross_tucker_reconstruct`` pass
-one gate, ``_free``: the action must be valid (else SkewError ``invalid
-action: ...``) and free (else ``... requires a free action``).  Past it they
-read the quotient, orbits and index view that ``group`` builds once per
-(action, quiver object) pair.
+product's index view from the base's as it builds its tuples; the
+translation action's integer tables and the Gross-Tucker witness's codes
+use the same numbering; and the first-factor map and ``verify``'s layer map
+read x and h off a position.  ``quotient_quiver``, ``lift_system`` and
+``gross_tucker_reconstruct`` pass one gate, ``_free``, and then read what
+``group`` builds once per (action, quiver object) pair.
 """
 
 import itertools
 from collections import Counter, namedtuple
 
-from .quiver import (
-    Edge,
-    FiniteQuiver,
-    QuiverIso,
-    QuiverMorphism,
-    check_iso,
-)
-from .group import QuiverAction, _facts, _getter, orbits
+from .quiver import Edge, FiniteQuiver, QuiverIso, QuiverMorphism
+from .group import QuiverAction, _Tables, _facts, _getter, orbits
 
 
 class SkewError(ValueError):
@@ -109,18 +100,18 @@ def skew_product(q, kappa):
 
 def translation_action(q, kappa):
     """Right translation (x, h).g = (x, hg) on skew_product(q, kappa), on the ids
-    ``_copies`` gives, with (x, h) at i*|G| + j for x at position i and h at j."""
+    ``_copies`` gives, as integer tables: g sends the copy at i*|G| + j, for x at
+    position i and h at j, to i*|G| + (the position of h*g)."""
     G = kappa.group
-    n, pos = G.order, {h: i for i, h in enumerate(G.elements)}
-    # right[g] takes the ids of the copies (x, h) of one x, h in G.elements order,
-    # to the ids of the (x, hg).
-    right = {g: _getter([pos[G.mul(h, g)] for h in G.elements]) for g in G.elements}
-    tables = []
+    n, at = G.order, {h: j for j, h in enumerate(G.elements)}
+    right = {g: _getter([at[G.mul(h, g)] for h in G.elements]) for g in G.elements}
+    views = []
     for ids in _copies(q, G):
-        rows = [ids[i:i + n] for i in range(0, len(ids), n)]
-        tables.append({g: zip(ids, itertools.chain.from_iterable(map(at, rows)))
-                       for g, at in right.items()})
-    return QuiverAction(G, *tables)
+        codes = list(range(len(ids)))  # each table holds these int objects
+        rows = [codes[i:i + n] for i in range(0, len(codes), n)]  # the copies of one x
+        views.append(_Tables(ids, {g: tuple(itertools.chain.from_iterable(map(moved, rows)))
+                                   for g, moved in right.items()}))
+    return QuiverAction(G, *views)
 
 
 def _free(q, a, what):
@@ -191,25 +182,26 @@ def default_section(q, a):
 GrossTuckerWitness = namedtuple("GrossTuckerWitness", "quotient cocycle phi sigma iso")
 
 
-def _is_skew_witness(facts, quot, kappa, phis, sigmas):
-    """True iff phis and sigmas, the pairs (o, g) of each vertex and edge of the
-    quiver q of ``facts`` in q's item order, are an isomorphism of q onto
-    skew_product(quot, kappa): the rule stated in ``gross_tucker_reconstruct``, in
-    one pass over q's index tuples, with weights compared by their integer class."""
-    G = kappa.group
-    for pairs, ids in ((phis, quot.vertices), (sigmas, [o.id for o in quot.edges])):
-        if len(pairs) != len(ids) * G.order or (
-                set(pairs) != set(itertools.product(ids, G.elements))):
+def _is_skew_witness(facts, quot, kappa, vcodes, ecodes):
+    """True iff vcodes and ecodes, the codes i*|G| + j of the pairs (o, g) (o at i in
+    quot, g at j in G.elements) of the vertices and edges of ``facts.quiver`` in item
+    order, are an isomorphism onto skew_product(quot, kappa), by the rule stated in
+    ``gross_tucker_reconstruct``."""
+    G, ix = kappa.group, facts.quiver.index
+    n, at = G.order, {g: j for j, g in enumerate(G.elements)}
+    for codes, count in ((vcodes, len(quot.vertices)), (ecodes, len(quot.edges))):
+        if len(codes) != count * n or set(codes) != set(range(count * n)):
             return False
-    ix = facts.quiver.index
-    rule = {o.id: (o.src, o.rng, G.table[kappa.map[o.id]],
-                   ix.classes.get(o.weight.as_integer_ratio())) for o in quot.edges}
-    of_src, of_rng = _getter(ix.src), _getter(ix.rng)
-    for (o, g), at_src, at_rng, w in zip(sigmas, of_src(phis), of_rng(phis), ix.weight):
-        src, rng, times, w_o = rule[o]
-        if at_src != (src, g) or at_rng != (rng, times[g]) or w != w_o:
-            return False
-    return True
+    qpos = {v: i for i, v in enumerate(quot.vertices)}
+    src, rng, weight = [], [], []  # of each copy of a quotient edge, by its code
+    for o in quot.edges:
+        s, r, times = qpos[o.src] * n, qpos[o.rng] * n, G.table[kappa.map[o.id]]
+        src += range(s, s + n)
+        rng += [r + at[times[g]] for g in G.elements]
+        weight += [ix.classes.get(o.weight.as_integer_ratio())] * n
+    of = _getter(ecodes)
+    return (of(src) == _getter(ix.src)(vcodes) and of(rng) == _getter(ix.rng)(vcodes)
+            and of(weight) == ix.weight)
 
 
 def gross_tucker_reconstruct(q, a, section=None):
@@ -219,21 +211,19 @@ def gross_tucker_reconstruct(q, a, section=None):
     section point of v's orbit to v; phi(v) = (orbit(v), g_v) and
     sigma(e) = (orbit(e), g_{src(e)}).  The recovered cocycle value on an
     edge orbit is g_{rng(e0)} for the unique representative e0 whose source
-    lies on the section.  Its quotient is the one quotient_quiver builds once
-    per action and quiver.
+    lies on the section.  Its quotient is the one quotient_quiver builds.
 
-    The witness is checked before it is returned, without building the skew
-    product: phi and sigma must be bijections onto V(quot) x G and
+    The witness is checked on integer codes of its pairs, without building
+    the skew product: phi and sigma must be bijections onto V(quot) x G and
     E(quot) x G, and each edge e with sigma(e) = (o, g) must have
-    phi(s(e)) = (s(o), g), phi(r(e)) = (r(o), kappa(o)*g) and the weight of o.
-    The edge (o, g) of quot x_kappa G has exactly that source, range and
-    weight (Gross and Tucker 1977), so this holds exactly when ``iso``
-    carries q's edge table onto the product's, which is what check_iso
-    decides.  phi and sigma must also be G-equivariant: on an abelian group
-    the rule alone accepts every g_v (and so kappa) inverted.  A failed
-    check raises SkewOrbitError: it indicates an implementation bug.  Raises
-    SkewError, as skew_product(quot, kappa) would, if an "@" in an element
-    id names two copies of the quotient's items alike.
+    phi(s(e)) = (s(o), g), phi(r(e)) = (r(o), kappa(o)*g) and the weight of
+    o.  Those are the source, range and weight of the edge (o, g) of
+    quot x_kappa G (Gross and Tucker 1977), so this holds exactly when
+    check_iso accepts ``iso``.  phi and sigma must also be G-equivariant: on
+    an abelian group the rule alone accepts every g_v (and so kappa)
+    inverted.  A failed check raises SkewOrbitError, which indicates a bug.
+    Raises SkewError, as skew_product(quot, kappa) would, if an "@" in an
+    element id names two copies of the quotient's items alike.
     """
     facts = _free(q, a, "reconstruction")
     quot, proj = facts.quotient, facts.proj
@@ -248,31 +238,34 @@ def gross_tucker_reconstruct(q, a, section=None):
     G = a.group
     if _may_name_alike(G):
         _copies(quot, G)  # refuses, as skew_product would, two copies named alike
-    V, E = facts.vertices, facts.edges
-    # g_v: the unique translator from the section point to v (freeness).
-    g_of = {t[b]: g for b in map(V.pos.__getitem__, rep.values()) for g, t in V.tables.items()}
-    v_orb, v_g = _getter(V.items)(proj.vmap), _getter(range(len(V.items)))(g_of)
-    e_orb, e_g = _getter(E.items)(proj.emap), _getter(q.index.src)(g_of)
-    phis, sigmas = list(zip(v_orb, v_g)), list(zip(e_orb, e_g))  # lists: tuple() of a zip is slower
-
-    kmap = {o: g_of[r] for o, g, r in zip(e_orb, e_g, q.index.rng) if g == G.identity}
-    kappa = Cocycle(G, {o.id: kmap[o.id] for o in quot.edges})
-
-    if not _is_skew_witness(facts, quot, kappa, phis, sigmas):
+    n, at = G.order, {g: j for j, g in enumerate(G.elements)}
+    V, E, ix = facts.vertices, facts.edges, q.index
+    # The code of (orbit(v), g_v), g_v the unique translator from the section point (freeness).
+    points = map(V.pos.__getitem__, _getter(quot.vertices)(rep))
+    code = {t[b]: o + at[g] for o, b in zip(range(0, len(quot.vertices) * n, n), points)
+            for g, t in V.tables.items()}
+    vcodes = _getter(range(len(V.items)))(code)
+    e_orb = _getter(_getter(E.items)(proj.emap))({o.id: i * n for i, o in enumerate(quot.edges)})
+    ecodes = tuple([o + c % n for o, c in zip(e_orb, _getter(ix.src)(vcodes))])
+    ident = at[G.identity]  # kappa(o) = g_{rng(e0)}, e0 in o with g_{src(e0)} the identity
+    kmap = {c // n: G.elements[vcodes[r] % n] for c, r in zip(ecodes, ix.rng) if c % n == ident}
+    kappa = Cocycle(G, {o.id: kmap[i] for i, o in enumerate(quot.edges)})
+    if not _is_skew_witness(facts, quot, kappa, vcodes, ecodes):
         raise SkewOrbitError("reconstructed witness failed isomorphism verification")
-    iso = QuiverIso(QuiverMorphism(dict(zip(V.items, map(skew_vertex_id, v_orb, v_g))),
-                                   dict(zip(E.items, map(skew_edge_id, e_orb, e_g)))))
-    # G-equivariance of the trivializations.  Checking the generators
-    # suffices: the action is a homomorphism (validated on G x S), so
-    # equivariance extends to G by induction on word length.
+    # G-equivariance: x.s is at (o, g*s) for x at (o, g).  The generators suffice: the action
+    # is a homomorphism (validated on G x S), so it extends by induction on word length.
     for s in G.generators:
-        times_s = {h: G.mul(h, s) for h in G.elements}
-        for name, side, orb, gs in (("phi", V, v_orb, v_g), ("sigma", E, e_orb, e_g)):
-            at_image = _getter(side.tables[s])
-            if at_image(orb) != orb or at_image(gs) != _getter(gs)(times_s):
+        times_s = [at[G.mul(h, s)] for h in G.elements]
+        shift = [o + j for o in range(0, max(len(vcodes), len(ecodes)), n) for j in times_s]
+        for name, side, codes in (("phi", V, vcodes), ("sigma", E, ecodes)):
+            if _getter(side.tables[s])(codes) != _getter(codes)(shift):
                 raise SkewOrbitError(f"{name} is not G-equivariant")
-    return GrossTuckerWitness(quot, kappa, dict(zip(V.items, phis)), dict(zip(E.items, sigmas)),
-                              iso)
+    phi, sigma = (dict(zip(side.items, _getter(codes)(list(itertools.product(ids, G.elements)))))
+                  for side, codes, ids in ((V, vcodes, quot.vertices),
+                                           (E, ecodes, [o.id for o in quot.edges])))
+    iso = QuiverIso(QuiverMorphism(*(dict(zip(m, itertools.starmap(f, m.values())))
+                                     for m, f in ((phi, skew_vertex_id), (sigma, skew_edge_id)))))
+    return GrossTuckerWitness(quot, kappa, phi, sigma, iso)
 
 
 def _first_factor_iso(q, G, skew, quot):
@@ -281,17 +274,3 @@ def _first_factor_iso(q, G, skew, quot):
     n, pos, epos = G.order, skew.index.pos, skew._edge_pos
     return QuiverIso(QuiverMorphism({o: q.vertices[pos[o] // n] for o in quot.vertices},
                                     {o.id: q.edges[epos[o.id] // n].id for o in quot.edges}))
-
-
-def check_skew_orbit(q, kappa):
-    """Verify quotient(skew_product(q, kappa)) ~ q via first-factor projection.
-
-    Returns the verified QuiverIso from the quotient onto q.  A failure
-    here raises SkewOrbitError: it indicates an implementation bug.
-    """
-    skew = skew_product(q, kappa)
-    quot, _ = quotient_quiver(skew, translation_action(q, kappa))
-    iso = _first_factor_iso(q, kappa.group, skew, quot)
-    if not check_iso(quot, q, iso):
-        raise SkewOrbitError("canonical skew-orbit isomorphism failed to verify")
-    return iso

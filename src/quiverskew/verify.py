@@ -27,7 +27,7 @@ import itertools
 import sys
 
 from .quiver import check_iso
-from .group import edge_free, is_free, orbits, validate_action
+from .group import is_free, orbits, validate_action
 from .skew import (
     Section,
     _first_factor_iso,
@@ -90,7 +90,6 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
         bad = validate_action(skew, act)
         _require(not bad, *bad[:1])
         _require(is_free(skew, act))
-        _require(edge_free(skew, act), "non-identity element fixes an edge")
 
     check("translation-action-free", chk_action)
 

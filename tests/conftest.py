@@ -13,11 +13,15 @@ from quiverskew import (
     make_cyclic,
     orbits,
     path_counts,
+    quotient_quiver,
     regular_vertices,
     skew_product,
     translation_action,
 )
 from quiverskew import group as group_mod
+from quiverskew import quiver as quiver_mod
+from quiverskew.quiver import QuiverError
+from quiverskew.skew import SkewOrbitError, _first_factor_iso
 from quiverskew.randgen import random_cocycle
 
 
@@ -31,12 +35,58 @@ def count_facts(monkeypatch):
     built = []
 
     class Counted(group_mod._Facts):
-        def __init__(self, q, a):
-            super().__init__(q, a)
+        def __init__(self, *args):
+            super().__init__(*args)
             built.append(self)
 
     monkeypatch.setattr(group_mod, "_Facts", Counted)
     return built
+
+
+def check_morphism(src_q, dst_q, m):
+    """True iff m commutes with both src and rng maps.
+
+    Raises QuiverError if m references ids unknown to either quiver.
+    """
+    for kind, items, mapping, known in (
+        ("vertex", src_q.vertices, m.vmap, set(dst_q.vertices).__contains__),
+        ("edge", [e.id for e in src_q.edges], m.emap, dst_q.has_edge),
+    ):
+        for x in items:
+            if x not in mapping:
+                raise QuiverError(f"morphism undefined on {kind} {x!r}")
+            if not known(mapping[x]):
+                raise QuiverError(f"morphism maps {kind} {x!r} outside target")
+    for e in src_q.edges:
+        img = dst_q.edge(m.emap[e.id])
+        if img.src != m.vmap[e.src]:
+            return False
+        if img.rng != m.vmap[e.rng]:
+            return False
+    return True
+
+
+def check_skew_orbit(q, kappa):
+    """Verify quotient(skew_product(q, kappa)) ~ q via first-factor projection.
+
+    Returns the verified QuiverIso from the quotient onto q.  A failure
+    here raises SkewOrbitError: it indicates an implementation bug.
+    """
+    skew = skew_product(q, kappa)
+    quot, _ = quotient_quiver(skew, translation_action(q, kappa))
+    iso = _first_factor_iso(q, kappa.group, skew, quot)
+    if not quiver_mod.check_iso(quot, q, iso):
+        raise SkewOrbitError("canonical skew-orbit isomorphism failed to verify")
+    return iso
+
+
+def edge_free(q, a):
+    """Freeness on edges, which vertex freeness implies for a valid action (an
+    element that fixes an edge fixes its source); raises GroupError as
+    ``orbits`` does."""
+    tables = group_mod._permuting(q, a).edges.tables
+    return all(t[x] != x for g, t in tables.items() if g != a.group.identity
+               for x in range(len(t)))
 
 
 def mk(vertices, edges):

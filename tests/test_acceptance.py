@@ -16,8 +16,6 @@ from quiverskew import (
     Section,
     acyclic_block_structure,
     check_iso,
-    check_skew_orbit,
-    edge_free,
     gross_tucker_reconstruct,
     iso_search,
     k_theory,
@@ -38,7 +36,7 @@ from quiverskew.randgen import (
     standard_groups,
 )
 
-from conftest import mk, orbit_fused_blocks
+from conftest import check_skew_orbit, edge_free, mk, orbit_fused_blocks
 
 
 def cases(seed, count, acyclic=False):

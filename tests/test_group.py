@@ -1,3 +1,4 @@
+import copy
 import random
 from operator import itemgetter
 
@@ -6,8 +7,8 @@ import pytest
 from quiverskew import (
     Cocycle,
     FiniteGroup,
+    FiniteQuiver,
     QuiverAction,
-    edge_free,
     is_free,
     make_cyclic,
     make_symmetric,
@@ -17,10 +18,12 @@ from quiverskew import (
     validate_action,
     validate_group,
 )
+from quiverskew import group as group_mod
+from quiverskew import io as qio
 from quiverskew.group import GroupError
 from quiverskew.randgen import random_cocycle, random_quiver
 
-from conftest import LOOP5, deadline, mk, random_base, trivial_action
+from conftest import LOOP5, deadline, edge_free, mk, random_base, trivial_action
 
 
 class TestMakeCyclic:
@@ -550,3 +553,193 @@ def test_validate_action_matches_exhaustive_oracle(group):
         verdicts.append(valid)
     # Both outcomes occur, so the agreement is not vacuous.
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+class ParentFacts:
+    """The translation loop that built ``group._Facts`` before the group laws were
+    trusted to imply bijectivity, kept as an oracle: every table is translated and
+    tested for repeated images, element by element (vertices first), before any
+    law; freeness is always a scan for fixed points."""
+
+    def __init__(self, q, G, vperm, eperm):
+        self.vertices, self.edges = sides = (
+            group_mod._Side("vertex", q.vertices, q.index.pos, {}),
+            group_mod._Side("edge", tuple(e.id for e in q.edges), q._edge_pos, {}))
+        self.error = self.free = self.orbits = None
+        for g in G.elements:
+            for side, perms in zip(sides, (vperm, eperm)):
+                p, n = perms.get(g), len(side.pos)
+                try:
+                    t = None if p is None else tuple(side.pos[p[x]] for x in side.items)
+                except (KeyError, TypeError):
+                    t = None
+                if t is None or len(p) != n or len(set(t)) != n:
+                    self.error = (f"{side.kind} permutation for {g!r} is not a permutation of "
+                                  f"the {'vertices' if side.kind == 'vertex' else 'edges'}")
+                    self.report = [self.error]
+                    return
+                side.tables[g] = t
+        self.report = group_mod._Facts._laws(self, q, G)
+        self.free = not any(t[x] == x for g, t in self.vertices.tables.items()
+                            if g != G.identity for x in range(len(t)))
+        self.orbits = self.vertices.orbits(), self.edges.orbits()
+
+
+def assert_facts_match_parent(q, a):
+    """report, error, free and orbits of ``_facts(q, a)`` equal the parent loop's."""
+    got, want = group_mod._facts(q, a), ParentFacts(q, a.group, a.vperm, a.eperm)
+    assert (got.report, got.error, got.free, got.orbits) == (
+        want.report, want.error, want.free, want.orbits)
+    return got
+
+
+def broken_actions(rng, q, a):
+    """(kind, quiver, vperm, eperm): a valid action with one seeded break."""
+    G = a.group
+    tables = [{g: dict(p) for g, p in t.items()} for t in (a.vperm, a.eperm)]
+    vperm, eperm = tables
+    els = G.elements
+    early, late = sorted(rng.sample(range(1, len(els)), 2))
+    # One table maps two items to one image; a later element breaks a law by a swap.
+    v, w = rng.sample(q.vertices, 2)
+    dup = [{g: dict(p) for g, p in t.items()} for t in tables]
+    dup[0][els[early]][v] = dup[0][els[early]][w]
+    x, y = rng.sample(q.vertices, 2)
+    dup[0][els[late]][x], dup[0][els[late]][y] = dup[0][els[late]][y], dup[0][els[late]][x]
+    yield "non-injective before a law break", q, *dup
+    for kind, edit in (("missing key", lambda p: p.pop(next(iter(p)))),
+                       ("extra key", lambda p: p.update(extra="extra")),
+                       ("non-string image", lambda p: p.update({next(iter(p)): 5})),
+                       ("unhashable image", lambda p: p.update({next(iter(p)): ["x"]}))):
+        for side in range(2):
+            broken = [{g: dict(p) for g, p in t.items()} for t in tables]
+            edit(broken[side][rng.choice(els)])
+            yield kind, q, *broken
+    # Still permutations, but swapping two images breaks the laws on vertices, or on edges only.
+    g = rng.choice(els[1:])
+    v, w = rng.sample(q.vertices, 2)
+    vertices = {h: dict(p) for h, p in vperm.items()}
+    vertices[g][v], vertices[g][w] = vertices[g][w], vertices[g][v]
+    yield "vertex law break", q, vertices, eperm
+    e, f = rng.sample([e.id for e in q.edges], 2)
+    edges = {h: dict(p) for h, p in eperm.items()}
+    edges[g][e], edges[g][f] = edges[g][f], edges[g][e]
+    yield "edge law break", q, vperm, edges
+    heavier = q.with_weights({e.id: e.weight + (i == 0) for i, e in enumerate(q.edges)})
+    yield "weight break", heavier, vperm, eperm
+
+
+@pytest.mark.parametrize("group", [make_cyclic(3), make_symmetric(3)], ids=["Z3", "S3"])
+def test_facts_match_the_parent_loop_on_broken_actions(group):
+    rng = random.Random(f"parent:{group.order}")
+    kinds = set()
+    for _ in range(40):
+        base = random_quiver(rng, 3, 5)
+        while len(base.edges) < 2:
+            base = random_quiver(rng, 3, 5)
+        kappa = random_cocycle(rng, base, group)
+        q, a = skew_product(base, kappa), translation_action(base, kappa)
+        assert assert_facts_match_parent(q, a).report == []
+        for kind, quiver, vperm, eperm in broken_actions(rng, q, a):
+            facts = assert_facts_match_parent(quiver, QuiverAction(group, vperm, eperm))
+            if kind.startswith("non-injective"):
+                # The earlier table is named, not the later law break.
+                assert facts.error and "is not a permutation" in facts.error
+            strings = all(isinstance(y, str) for t in (vperm, eperm)
+                          for p in t.values() for y in p.values())
+            if strings:  # the parser reaches the same facts
+                doc = {"group": {"kind": "cyclic", "n": 3} if group.order == 3 else
+                       {"kind": "symmetric", "n": 3}, "vperm": vperm, "eperm": eperm}
+                assert_facts_match_parent(quiver, qio.parse_action_document(doc, quiver))
+            kinds.add((kind, facts.error is None))
+    # Every kind of break is refused, the last three by a law rather than as a table.
+    assert kinds == {("non-injective before a law break", False), ("missing key", False),
+                     ("extra key", False), ("non-string image", False),
+                     ("unhashable image", False), ("vertex law break", True),
+                     ("edge law break", True), ("weight break", True)}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (lambda q: (q, trivial_action(q, make_cyclic(4))))(
+        mk(["u", "v"], [("a", "u", "v", 1), ("l", "v", "v", 2)])),
+    lambda: (mk(["u", "v", "w"], [("a", "u", "v", 1), ("b", "u", "w", 1)]),
+             QuiverAction(make_cyclic(2),
+                          {"0": {"u": "u", "v": "v", "w": "w"},
+                           "1": {"u": "u", "v": "w", "w": "v"}},
+                          {"0": {"a": "a", "b": "b"}, "1": {"a": "b", "b": "a"}})),
+], ids=["trivial-Z4", "Z2-fixing-u"])
+def test_freeness_by_orbit_size_is_the_fixed_point_scan(build):
+    # Valid actions with nontrivial stabilisers: orbits smaller than |G|, and a fixed point.
+    q, a = build()
+    assert validate_action(q, a) == []
+    assert is_free(q, a) is False
+    assert is_free(q, a) == ref_is_free(q, a) == ParentFacts(q, a.group, a.vperm, a.eperm).free
+
+
+class TestParsedAction:
+    DOC = {"group": {"kind": "cyclic", "n": 2},
+           "vperm": {"0": {"v": "v", "w": "w"}, "1": {"v": "w", "w": "v"}},
+           "eperm": {"0": {"a": "a", "b": "b"}, "1": {"a": "b", "b": "a"}}}
+    Q = mk(["v", "w"], [("a", "v", "w", 1), ("b", "w", "v", 1)])
+
+    def parsed_and_built(self):
+        doc = copy.deepcopy(self.DOC)
+        parsed = qio.parse_action_document(doc, self.Q)
+        built = QuiverAction(make_cyclic(2), self.DOC["vperm"], self.DOC["eperm"])
+        return doc, parsed, built
+
+    def test_it_holds_integer_tables_and_builds_its_view_when_read(self):
+        _, parsed, _ = self.parsed_and_built()
+        assert isinstance(parsed.vperm, group_mod._Tables)
+        assert parsed.vperm.tables == {"0": (0, 1), "1": (1, 0)}
+        assert parsed.vperm._view is None
+        assert dict(parsed.vperm["1"]) == {"v": "w", "w": "v"}
+        assert parsed.vperm._view is not None
+
+    def test_it_equals_the_action_built_from_the_same_tables(self):
+        _, parsed, built = self.parsed_and_built()
+        assert parsed == built and built == parsed
+        assert repr(parsed) == repr(built)
+        assert validate_action(self.Q, parsed) == validate_action(self.Q, built) == []
+        assert parsed != QuiverAction(make_cyclic(2), self.DOC["vperm"],
+                                      {"0": self.DOC["eperm"]["0"], "1": self.DOC["eperm"]["0"]})
+
+    def test_changing_the_document_does_not_reach_the_action(self):
+        doc, parsed, built = self.parsed_and_built()
+        doc["vperm"]["1"]["v"] = "v"
+        doc["eperm"]["1"] = {"a": "a", "b": "b"}
+        assert parsed == built
+        assert parsed.vperm["1"] == {"v": "w", "w": "v"}
+
+    def test_its_tables_cannot_be_assigned(self):
+        _, parsed, built = self.parsed_and_built()
+        for a in (parsed, built):
+            with pytest.raises(TypeError):
+                a.vperm["1"]["v"] = "v"
+            with pytest.raises(TypeError):
+                a.eperm["1"] = {}
+
+    def test_a_table_that_is_no_permutation_keeps_a_string_copy(self):
+        doc = copy.deepcopy(self.DOC)
+        doc["vperm"]["1"] = {"v": "w", "w": "w"}
+        parsed = qio.parse_action_document(doc, self.Q)
+        assert not isinstance(parsed.vperm, group_mod._Tables)
+        assert parsed == QuiverAction(make_cyclic(2), doc["vperm"], doc["eperm"])
+        assert validate_action(self.Q, parsed) == [
+            "vertex permutation for '1' is not a permutation of the vertices"]
+
+
+def test_integer_tables_act_on_a_quiver_numbered_another_way():
+    # The translation action's tables are in its product's numbering; on the same
+    # quiver listed in reverse they are relabelled, and agree with a string copy.
+    q = mk(["u", "v"], [("a", "u", "v", 1), ("b", "v", "v", 2)])
+    kappa = Cocycle(make_symmetric(3), {"a": "231", "b": "213"})
+    skew, act = skew_product(q, kappa), translation_action(q, kappa)
+    reverse = FiniteQuiver(skew.vertices[::-1], skew.edges[::-1])
+    copied = QuiverAction(act.group, act.vperm, act.eperm)
+    assert isinstance(act.vperm, group_mod._Tables) and act == copied
+    for a in (act, copied):
+        assert validate_action(reverse, a) == [] and is_free(reverse, a)
+    assert orbits(reverse, act) == orbits(reverse, copied) == ref_orbits(reverse, act)
+    assert group_mod._facts(reverse, act).vertices.tables == group_mod._facts(
+        reverse, copied).vertices.tables

@@ -9,9 +9,6 @@ from hypothesis import given, settings, strategies as st
 from quiverskew import (
     Cocycle,
     check_iso,
-    check_morphism,
-    check_skew_orbit,
-    edge_free,
     gross_tucker_reconstruct,
     is_free,
     iso_search,
@@ -26,7 +23,7 @@ from quiverskew import (
 )
 from quiverskew.verify import all_sections
 
-from conftest import mk
+from conftest import check_morphism, check_skew_orbit, edge_free, mk
 
 
 weights = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))

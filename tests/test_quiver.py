@@ -18,7 +18,6 @@ from quiverskew import (
     QuiverIso,
     QuiverMorphism,
     check_iso,
-    check_morphism,
     iso_search,
     make_cyclic,
     make_symmetric,
@@ -29,7 +28,7 @@ from quiverskew import io as qio
 from quiverskew.quiver import QuiverError, _bijection
 from quiverskew.randgen import random_cocycle, random_quiver
 
-from conftest import brute_iso_exists, deadline, mk, random_base
+from conftest import brute_iso_exists, check_morphism, deadline, mk, random_base
 
 
 def relabelling(q, rng):

@@ -13,8 +13,6 @@ from quiverskew import (
     QuiverMorphism,
     Section,
     check_iso,
-    check_morphism,
-    check_skew_orbit,
     default_section,
     gross_tucker_reconstruct,
     is_free,
@@ -37,7 +35,7 @@ from quiverskew.randgen import random_cocycle, random_quiver, random_weight
 from quiverskew.group import _facts, _getter
 from quiverskew.skew import SkewError, SkewOrbitError, _first_factor_iso, _is_skew_witness
 
-from conftest import count_facts, mk, trivial_action
+from conftest import check_morphism, check_skew_orbit, count_facts, mk, trivial_action
 
 
 def loop_quiver():
@@ -412,7 +410,14 @@ def rule_and_check_iso(q, a, quot, kappa, phi, sigma):
     facts = _facts(q, a)
     V, E = facts.vertices.items, facts.edges.items
     assert set(phi) == set(V) and set(sigma) == set(E)
-    verdict = _is_skew_witness(facts, quot, kappa, _getter(V)(phi), _getter(E)(sigma))
+    # The code of (o, g) is o's position in quot times |G| plus g's in G.elements.
+    G = kappa.group
+    at = {g: j for j, g in enumerate(G.elements)}
+    codes = [tuple(rank[o] * G.order + at[g] for o, g in _getter(items)(pairs))
+             for items, pairs, rank in (
+                 (V, phi, {v: i for i, v in enumerate(quot.vertices)}),
+                 (E, sigma, {o.id: i for i, o in enumerate(quot.edges)}))]
+    verdict = _is_skew_witness(facts, quot, kappa, *codes)
     assert verdict == check_iso(q, skew_product(quot, kappa), iso)
     return verdict
 
@@ -503,7 +508,7 @@ class TestCheckSkewOrbit:
         check_skew_orbit(q, Cocycle(g, {"a": "231", "b": "321"}))
 
     def test_map_that_check_iso_rejects_raises(self, monkeypatch):
-        monkeypatch.setattr("quiverskew.skew.check_iso", lambda a, b, iso: False)
+        monkeypatch.setattr("quiverskew.quiver.check_iso", lambda a, b, iso: False)
         with pytest.raises(SkewOrbitError) as info:
             check_skew_orbit(loop_quiver(), Cocycle(make_cyclic(2), {"e": "1"}))
         assert str(info.value) == "canonical skew-orbit isomorphism failed to verify"
