@@ -11,9 +11,9 @@ _EXPORTS = {
                "validate_quiver", "check_iso", "iso_search"),
     "group": ("FiniteGroup", "QuiverAction", "make_cyclic", "make_symmetric", "validate_group",
               "validate_action", "is_free", "orbits"),
-    "skew": ("Cocycle", "Section", "GrossTuckerWitness", "SkewOrbitError", "skew_product",
-             "skew_vertex_id", "skew_edge_id", "translation_action", "quotient_quiver",
-             "lift_system", "default_section", "gross_tucker_reconstruct"),
+    "skew": ("Cocycle", "Section", "GrossTuckerWitness", "skew_product", "skew_vertex_id",
+             "skew_edge_id", "translation_action", "quotient_quiver", "lift_system",
+             "default_section", "gross_tucker_reconstruct"),
     "cstar": ("BlockStructure", "KTheory", "SmithNormalForm", "is_acyclic", "regular_vertices",
               "vertex_matrix", "path_counts", "smith_normal_form", "k_theory",
               "acyclic_block_structure", "graded_dimensions"),

@@ -7,7 +7,10 @@ quotient, so the translation action is validated and its quotient built
 once; each check that needs the quotient fails with the first violation
 when the action is invalid.  An isomorphism is its forward maps, verified
 by ``check_iso``.  A fault can be injected (one mutated weight in the
-computed skew product) to exercise the failure path.
+computed skew product) to exercise the failure path.  ``gross-tucker-roundtrip``
+compares each section's witness with phi and the cocycle computed from the
+base, kappa and the section; ``measure-descent-lift`` compares the base's
+weights, lifted, with the weights ``skew_product`` gave.
 
 On an acyclic quiver three block checks compare the base with the skew
 product E x_kappa G, each side counted from its own paths.
@@ -103,15 +106,27 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
     def chk_gross_tucker():
         sections = all_sections(skew, act, section_budget)
         _require(sections, "no section within the budget")
+        G, inv = kappa.group, kappa.group.inv
+        first = _first_factor_iso(q, G, skew, quotient_quiver(skew, act)[0]).forward
+        orbit = {x: o for o, x in first.vmap.items()}
+        # The copy (x, g) is vertex i*|G| + j of the product for x at i and g at j.
+        pair = dict(zip(skew.vertices, itertools.product(q.vertices, G.elements)))
+        edges = [(o, q.edge(eid)) for o, eid in first.emap.items()]
         for section in sections:
-            gross_tucker_reconstruct(skew, act, section)
+            w = gross_tucker_reconstruct(skew, act, section)
+            h = dict(map(pair.__getitem__, section.representative.values()))  # points (x, h_x)
+            _require(w.phi == {v: (orbit[x], G.mul(inv(h[x]), g)) for v, (x, g) in pair.items()},
+                     "phi differs from (orbit of x, h_x^-1 g)")
+            _require(w.cocycle.map == {o: G.mul(G.mul(inv(h[e.rng]), kappa.value(e.id)), h[e.src])
+                                       for o, e in edges}, "cocycle differs from kappa gauged by h")
 
     check("gross-tucker-roundtrip", chk_gross_tucker)
 
     def chk_descent_lift():
-        quot, proj = quotient_quiver(skew, act)
-        lifted = lift_system(quot, skew, act, proj.emap)
-        _require(lifted == {e.id: e.weight for e in skew.edges})
+        n = kappa.group.order  # edge i of the product is a copy of edge i // |G| of q
+        base = {e.id: q.edges[i // n].id for i, e in enumerate(skew.edges)}
+        _require(lift_system(q, skew, act, base) == {e.id: e.weight for e in skew.edges},
+                 "lifted base weights differ from the product's")
 
     check("measure-descent-lift", chk_descent_lift)
 

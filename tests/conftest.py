@@ -10,6 +10,8 @@ from quiverskew import (
     Edge,
     FiniteQuiver,
     QuiverAction,
+    QuiverIso,
+    QuiverMorphism,
     make_cyclic,
     orbits,
     path_counts,
@@ -21,7 +23,7 @@ from quiverskew import (
 from quiverskew import group as group_mod
 from quiverskew import quiver as quiver_mod
 from quiverskew.quiver import QuiverError
-from quiverskew.skew import SkewOrbitError, _first_factor_iso
+from quiverskew.skew import _first_factor_iso, skew_edge_id, skew_vertex_id
 from quiverskew.randgen import random_cocycle
 
 
@@ -70,14 +72,22 @@ def check_skew_orbit(q, kappa):
     """Verify quotient(skew_product(q, kappa)) ~ q via first-factor projection.
 
     Returns the verified QuiverIso from the quotient onto q.  A failure
-    here raises SkewOrbitError: it indicates an implementation bug.
+    here raises AssertionError: it indicates an implementation bug.
     """
     skew = skew_product(q, kappa)
     quot, _ = quotient_quiver(skew, translation_action(q, kappa))
     iso = _first_factor_iso(q, kappa.group, skew, quot)
     if not quiver_mod.check_iso(quot, q, iso):
-        raise SkewOrbitError("canonical skew-orbit isomorphism failed to verify")
+        raise AssertionError("canonical skew-orbit isomorphism failed to verify")
     return iso
+
+
+def witness_iso(w):
+    """The Gross-Tucker witness w as a QuiverIso onto skew_product(w.quotient,
+    w.cocycle): each pair of phi and sigma named by its id in the product."""
+    return QuiverIso(QuiverMorphism(
+        {v: skew_vertex_id(*p) for v, p in w.phi.items()},
+        {e: skew_edge_id(*p) for e, p in w.sigma.items()}))
 
 
 def edge_free(q, a):

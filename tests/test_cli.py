@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import re
@@ -8,15 +9,16 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiverskew
-from quiverskew import BlockStructure
+from quiverskew import BlockStructure, Cocycle
 from quiverskew import verify as verify_mod
-from quiverskew.cli import main
+from quiverskew.cli import _random_cases, main
 from quiverskew import io as qio
 
 from conftest import LOOP5, chain, count_facts, deadline, mk
@@ -555,7 +557,8 @@ class TestGolden:
          "PASS translation-action-free\n"
          "FAIL skew-orbit-recovery (AssertionError: orbit quiver differs from base)\n"
          "PASS gross-tucker-roundtrip\n"
-         "PASS measure-descent-lift\n"),
+         "FAIL measure-descent-lift (AssertionError: lifted base weights differ from the"
+         " product's)\n"),
     ], ids=["s3-cyclic", "s3-cyclic-fault", "s3-acyclic", "s3-acyclic-fault",
             "z1", "z1-fault"])
     def test_verify(self, tmp_path, capsys, fixture, fault, code, out):
@@ -750,6 +753,72 @@ def test_graded_dimension_sum_fails_when_one_degree_is_off(tmp_path, capsys, mon
     code, lines = verify_s3_acyclic(tmp_path, capsys)
     assert code == 1
     only_fails(lines, "graded-dimension-sum")
+
+
+def inverted_cocycle(w):
+    G = w.cocycle.group
+    return w._replace(cocycle=Cocycle(G, {o: G.inv(k) for o, k in w.cocycle.map.items()}))
+
+
+def inverted_translators(w):
+    """Each g_v inverted, and with it the recovered cocycle: on an abelian group
+    the witness still keeps the skew-product rule."""
+    G = w.cocycle.group
+    return inverted_cocycle(w)._replace(
+        phi={v: (o, G.inv(g)) for v, (o, g) in w.phi.items()},
+        sigma={e: (o, G.inv(g)) for e, (o, g) in w.sigma.items()})
+
+
+def doubled_weights(p):
+    return p.with_weights({e.id: 2 * e.weight for e in p.edges})
+
+
+def suite_failures(cases, inject_fault=False):
+    """The FAIL lines of run_suite over (label, q, kappa) cases, as `verify` prints them."""
+    return [f"FAIL {label}{name} ({detail})" for label, q, kappa in cases
+            for name, ok, detail in verify_mod.run_suite(q, kappa, inject_fault=inject_fault)
+            if not ok]
+
+
+# Each mutant of a function that run_suite calls, and the least number of the 60
+# seeded `verify --random 60 --seed 0` cases in which each named check must FAIL.
+VERIFY_MUTANTS = {
+    "reconstruction-ignores-its-section": (
+        "gross_tucker_reconstruct", lambda real: lambda q, a, section=None: real(q, a),
+        {"gross-tucker-roundtrip": 60}),
+    # Caught wherever some recovered value is not an involution.
+    "recovered-cocycle-inverted": (
+        "gross_tucker_reconstruct", lambda real: lambda *args: inverted_cocycle(real(*args)),
+        {"gross-tucker-roundtrip": 50}),
+    # Caught wherever some element of phi is not an involution.
+    "phi-and-cocycle-inverted": (
+        "gross_tucker_reconstruct", lambda real: lambda *args: inverted_translators(real(*args)),
+        {"gross-tucker-roundtrip": 56}),
+    # Caught in every case with an edge.
+    "product-weights-doubled": (
+        "skew_product", lambda real: lambda q, kappa: doubled_weights(real(q, kappa)),
+        {"skew-orbit-recovery": 54, "measure-descent-lift": 54}),
+}
+
+
+def test_every_check_passes_on_the_seeded_cases():
+    assert suite_failures(_random_cases(60, 0)) == []
+
+
+@pytest.mark.parametrize("mutant", VERIFY_MUTANTS)
+def test_each_mutant_fails_its_checks(monkeypatch, mutant):
+    name, mutate, least = VERIFY_MUTANTS[mutant]
+    monkeypatch.setattr(verify_mod, name, mutate(getattr(verify_mod, name)))
+    fails = Counter(line.split()[2] for line in suite_failures(_random_cases(60, 0)))
+    assert all(fails[check] >= count for check, count in least.items()), fails
+
+
+def test_an_injected_fault_fails_the_checks_of_the_golden():
+    # The first 20 of the 60 seeded cases are the 20 of `verify --random 20 --seed 0`.
+    golden = (TestGolden.GOLDEN / "verify_random20_seed0_fault.out").read_text().splitlines()
+    cases = itertools.islice(_random_cases(60, 0), 20)
+    assert suite_failures(cases, inject_fault=True) == [
+        line for line in golden if line.startswith("FAIL ")]
 
 
 def test_run_suite_on_a_long_chain():

@@ -23,7 +23,7 @@ from quiverskew import (
 )
 from quiverskew.verify import all_sections
 
-from conftest import check_morphism, check_skew_orbit, edge_free, mk
+from conftest import check_morphism, check_skew_orbit, edge_free, mk, witness_iso
 
 
 weights = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
@@ -143,7 +143,7 @@ def test_gross_tucker_roundtrip_all_small_sections(qk):
     for section in all_sections(skew, act, budget=4):
         witness = gross_tucker_reconstruct(skew, act, section)
         target = skew_product(witness.quotient, witness.cocycle)
-        assert check_iso(skew, target, witness.iso)
+        assert check_iso(skew, target, witness_iso(witness))
 
 
 @settings(deadline=None)

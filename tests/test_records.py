@@ -49,11 +49,10 @@ def samples():
         (lambda: Section({"v": "v@0"}), "Section(representative={'v': 'v@0'})"),
         (lambda: GrossTuckerWitness(
             FiniteQuiver(["v"], [Edge("a", "v", "v", 1)]), Cocycle(G, {"a": "1"}),
-            {"v@0": ("v", "0")}, {"a@0": ("a", "0")}, QuiverIso(morphism())),
+            {"v@0": ("v", "0")}, {"a@0": ("a", "0")}),
          "GrossTuckerWitness(quotient=FiniteQuiver(1 vertices, 1 edges), "
          "cocycle=Cocycle(group=FiniteGroup(order=2), map={'a': '1'}), "
-         "phi={'v@0': ('v', '0')}, sigma={'a@0': ('a', '0')}, "
-         "iso=QuiverIso(forward=QuiverMorphism(vmap={'v': 'w'}, emap={'a': 'b'})))"),
+         "phi={'v@0': ('v', '0')}, sigma={'a@0': ('a', '0')})"),
         (lambda: BlockStructure((1, 2)), "BlockStructure(blocks=(1, 2))"),
         (lambda: Cocycle(G, {"a": "1"}), "Cocycle(group=FiniteGroup(order=2), map={'a': '1'})"),
         (lambda: QuiverAction(G, {"0": {"v": "v"}, "1": {"v": "v"}},
