@@ -238,13 +238,6 @@ def build_parser():
     return p
 
 
-def _cstar_error():
-    """CStarError, imported only when an error has reached ``main``."""
-    from .cstar import CStarError
-
-    return CStarError
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -256,7 +249,7 @@ def main(argv=None):
     except qio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (QuiverError, GroupError, SkewError, _cstar_error()) as exc:
+    except (QuiverError, GroupError, SkewError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -172,25 +172,24 @@ def smith_normal_form(M):
     holding an entry p does not divide is added to row t.  The loop ends:
     a step is repeated only after a nonzero remainder below p is left, and
     the added row leaves one in row t, so the pivot's magnitude strictly
-    falls until it divides the rest.
+    falls until it divides the rest.  The reduction runs on the block M of
+    [[M, I_m], [I_n, 0]], which leaves U in the top-right block and V below M.
     """
-    A = [list(map(int, row)) for row in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    diag = _smith_diagonal(A, U, V)
-    return SmithNormalForm(tuple(diag), tuple(map(tuple, U)), tuple(map(tuple, V)))
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = [[*map(int, row), *(int(i == j) for j in range(m))] for i, row in enumerate(M)]
+    A += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    diag = _smith_diagonal(A, m, n)
+    return SmithNormalForm(tuple(diag), tuple(tuple(row[n:]) for row in A[:m]),
+                           tuple(tuple(row[:n]) for row in A[m:]))
 
 
-def _smith_diagonal(A, U=None, V=None):
-    """Reduce A (a list of row lists) in place to Smith normal form and
-    return its diagonal.  Row operations are applied to U and column
-    operations to V when they are given."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = [A] if U is None else [A, U]
-    cols = [A] if V is None else [A, V]
+def _smith_diagonal(A, m=None, n=None):
+    """Reduce the top-left m x n block of A (a list of row lists; all of A by
+    default) to Smith normal form in place, by operations on whole rows and
+    columns of A, and return its diagonal."""
+    if m is None:
+        m, n = len(A), (len(A[0]) if A else 0)
     for t in range(min(m, n)):
         while True:
             pivot = None
@@ -207,34 +206,28 @@ def _smith_diagonal(A, U=None, V=None):
             if pivot is None:
                 return [A[i][i] for i in range(min(m, n))]
             _, pi, pj = pivot
-            for W in rows:
-                W[t], W[pi] = W[pi], W[t]
-            for W in cols:
-                for row in W:
-                    row[t], row[pj] = row[pj], row[t]
+            A[t], A[pi] = A[pi], A[t]
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
             if A[t][t] < 0:
-                for W in rows:
-                    W[t] = [-a for a in W[t]]
+                A[t] = [-a for a in A[t]]
             p = A[t][t]
             for i in range(t + 1, m):
                 c = A[i][t] // p
                 if c:
-                    for W in rows:
-                        W[i] = [a - c * b for a, b in zip(W[i], W[t])]
+                    A[i] = [a - c * b for a, b in zip(A[i], A[t])]
             quotients = [(j, A[t][j] // p) for j in range(t + 1, n) if A[t][j]]
-            for W in cols:
-                for row in W:
-                    for j, c in quotients:
-                        row[j] -= c * row[t]
-            if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1:]):
+            for row in A:
+                for j, c in quotients:
+                    row[j] -= c * row[t]
+            if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1:n]):
                 continue
             if p == 1:
                 break
-            rest = next((i for i in range(t + 1, m) if any(a % p for a in A[i][t + 1:])), None)
+            rest = next((i for i in range(t + 1, m) if any(a % p for a in A[i][t + 1:n])), None)
             if rest is None:
                 break
-            for W in rows:
-                W[t] = [a + b for a, b in zip(W[t], W[rest])]
+            A[t] = [a + b for a, b in zip(A[t], A[rest])]
     return [A[i][i] for i in range(min(m, n))]
 
 

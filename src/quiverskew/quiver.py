@@ -9,7 +9,7 @@ and ``validate_quiver`` decides every quiver from it.
 """
 
 from fractions import Fraction
-from collections import Counter, deque, namedtuple
+from collections import deque, namedtuple
 from functools import cached_property
 
 
@@ -349,11 +349,14 @@ def iso_search(a, b, budget=200_000):
     Every isomorphism that keeps the colours maps x into the colour, so no
     branch that could succeed is skipped.  Each node adds one pair, so a
     branch ends within |V| nodes and the tree is finite; more than
-    ``budget`` nodes raises ``IsoBudgetExceeded``.  When each colour is one
-    (a, b) pair, that bijection is accepted if it carries a's edge multiset
-    (src, rng, weight) onto b's.  Deterministic given input order; every
-    result is checked by ``check_iso``.  Weights are read as the classes of
-    a's ``index``, so a weight of b that a lacks gives None at once.
+    ``budget`` nodes raises ``IsoBudgetExceeded``.  The first leaf, where
+    each colour is one (a, b) pair, is the answer: as the colouring is
+    stable, for any pairs (x, y) and (x', y') the edges between x and x' have
+    the directions and weights of those between y and y'.  So the vertex
+    bijection f carries a's edge multiset onto b's, and each edge of a takes
+    an unused edge of b of the same (f(src), f(rng), weight), in input order.
+    Deterministic given input order.  Weights are read as the classes of a's
+    ``index``, so a weight of b that a lacks gives None at once.
 
     Before it first backtracks, the search returns None unless a and b have
     the same multiset of weakly connected component shapes (vertex and edge
@@ -379,7 +382,6 @@ def iso_search(a, b, budget=200_000):
             adj[s].append((r, -w))
             adj[r].append((s, w))
             triples[side].append((s, r, w))
-    b_edges = Counter(triples[1])
 
     col = _Colouring(n, adj)
     alive = n == 0 or col.refine([0])
@@ -390,11 +392,8 @@ def iso_search(a, b, budget=200_000):
         if alive:
             t = col.target()
             if t is None:
-                f = {min(p): max(p) for p in zip(col.lab[::2], col.lab[1::2])}
-                if Counter((f[s], f[r], w) for s, r, w in triples[0]) == b_edges:
-                    break
-            else:
-                stack.append([len(col.trail), min(col.lab[t:t + col.size[t]]), n - 1])
+                break
+            stack.append([len(col.trail), min(col.lab[t:t + col.size[t]]), n - 1])
         if not stack:
             return None
         frame = stack[-1]
@@ -416,14 +415,11 @@ def iso_search(a, b, budget=200_000):
             raise IsoBudgetExceeded(nodes, budget)
         alive = col.individualise(x, y)
 
-    # Extend the vertex bijection to edges: within each (src, rng, weight)
-    # class, pair edges in input order.
+    # Pair the edges of each (src, rng, weight) class in input order.
+    f = {min(p): max(p) for p in zip(col.lab[::2], col.lab[1::2])}
     pool = {}
     for e, key in zip(reversed(b.edges), reversed(triples[1])):
         pool.setdefault(key, []).append(e.id)
     emap = {e.id: pool[f[s], f[r], w].pop() for e, (s, r, w) in zip(a.edges, triples[0])}
     vmap = {v: b.vertices[f[i] - n] for i, v in enumerate(a.vertices)}
-    iso = QuiverIso(QuiverMorphism(vmap, emap))
-    if not check_iso(a, b, iso):
-        raise AssertionError("iso_search built a map that check_iso rejects")
-    return iso
+    return QuiverIso(QuiverMorphism(vmap, emap))

@@ -8,8 +8,8 @@ once; each check that needs the quotient fails with the first violation
 when the action is invalid.  An isomorphism is its forward maps, verified
 by ``check_iso``.  A fault can be injected (one mutated weight in the
 computed skew product) to exercise the failure path.  ``gross-tucker-roundtrip``
-compares each section's witness with phi and the cocycle computed from the
-base, kappa and the section; ``measure-descent-lift`` compares the base's
+compares each section's witness with phi, sigma and the cocycle computed from
+the base, kappa and the section; ``measure-descent-lift`` compares the base's
 weights, lifted, with the weights ``skew_product`` gave.
 
 On an acyclic quiver three block checks compare the base with the skew
@@ -109,9 +109,12 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
         G, inv = kappa.group, kappa.group.inv
         first = _first_factor_iso(q, G, skew, quotient_quiver(skew, act)[0]).forward
         orbit = {x: o for o, x in first.vmap.items()}
-        # The copy (x, g) is vertex i*|G| + j of the product for x at i and g at j.
+        # The copy (x, g) is vertex i*|G| + j of the product for x at i and g at j, and
+        # the copy (e, g), with source (s(e), g), is its edge i*|G| + j for e at i.
         pair = dict(zip(skew.vertices, itertools.product(q.vertices, G.elements)))
+        edge_pair = dict(zip([e.id for e in skew.edges], itertools.product(q.edges, G.elements)))
         edges = [(o, q.edge(eid)) for o, eid in first.emap.items()]
+        edge_orbit = {e.id: o for o, e in edges}
         for section in sections:
             w = gross_tucker_reconstruct(skew, act, section)
             h = dict(map(pair.__getitem__, section.representative.values()))  # points (x, h_x)
@@ -119,6 +122,9 @@ def run_suite(q, kappa, section_budget=24, inject_fault=False):
                      "phi differs from (orbit of x, h_x^-1 g)")
             _require(w.cocycle.map == {o: G.mul(G.mul(inv(h[e.rng]), kappa.value(e.id)), h[e.src])
                                        for o, e in edges}, "cocycle differs from kappa gauged by h")
+            _require(w.sigma == {f: (edge_orbit[e.id], G.mul(inv(h[e.src]), g))
+                                 for f, (e, g) in edge_pair.items()},
+                     "sigma differs from (orbit of e, h_s(e)^-1 g)")
 
     check("gross-tucker-roundtrip", chk_gross_tucker)
 

@@ -160,7 +160,8 @@ def test_criterion_7_disjoint_copies():
                 copy = FiniteQuiver(
                     vset, [e for e in skew.edges if e.id in eids]
                 )
-                assert iso_search(copy, q) is not None
+                iso = iso_search(copy, q)
+                assert iso is not None and check_iso(copy, q, iso)
             base = k_theory(q)
             total = k_theory(skew)
             assert sorted(total.k0_invariant_factors) == sorted(

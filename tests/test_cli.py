@@ -760,6 +760,11 @@ def inverted_cocycle(w):
     return w._replace(cocycle=Cocycle(G, {o: G.inv(k) for o, k in w.cocycle.map.items()}))
 
 
+def inverted_sigma(w):
+    G = w.cocycle.group
+    return w._replace(sigma={e: (o, G.inv(g)) for e, (o, g) in w.sigma.items()})
+
+
 def inverted_translators(w):
     """Each g_v inverted, and with it the recovered cocycle: on an abelian group
     the witness still keeps the skew-product rule."""
@@ -794,6 +799,10 @@ VERIFY_MUTANTS = {
     "phi-and-cocycle-inverted": (
         "gross_tucker_reconstruct", lambda real: lambda *args: inverted_translators(real(*args)),
         {"gross-tucker-roundtrip": 56}),
+    # Caught wherever some element of sigma is not an involution.
+    "sigma-inverted": (
+        "gross_tucker_reconstruct", lambda real: lambda *args: inverted_sigma(real(*args)),
+        {"gross-tucker-roundtrip": 51}),
     # Caught in every case with an edge.
     "product-weights-doubled": (
         "skew_product", lambda real: lambda q, kappa: doubled_weights(real(q, kappa)),

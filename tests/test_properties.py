@@ -72,7 +72,8 @@ def test_iso_symmetric_under_relabeling(q):
     )
     fwd = iso_search(q, relabeled)
     bwd = iso_search(relabeled, q)
-    assert fwd is not None and bwd is not None
+    assert fwd is not None and check_iso(q, relabeled, fwd)
+    assert bwd is not None and check_iso(relabeled, q, bwd)
 
 
 @given(quivers())

@@ -150,3 +150,27 @@ def test_the_package_names_resolve_on_first_use():
     assert set(quiverskew.__all__) <= set(dir(quiverskew))
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         quiverskew.nope
+
+
+# Exports that nothing in src/ calls, kept as the package's entry points.
+ENTRY_POINTS = {
+    "iso_search",  # decides whether two quivers are isomorphic, with a witness
+    "smith_normal_form",  # the Smith form with its unimodular witnesses
+}
+
+
+def test_every_export_has_a_caller_in_src_or_is_an_entry_point():
+    """A name counts as called when a module of src/ other than ``__init__`` reads it
+    outside the top-level statement that defines it."""
+    called = set()
+    for path in Path(quiverskew.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            defined = {getattr(stmt, "name", None)} | {
+                t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)}
+            read = {node.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            read |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            called |= read - defined
+    assert set(quiverskew.__all__) - called == ENTRY_POINTS

@@ -50,7 +50,8 @@ class TestSkewProduct:
     def test_trivial_group_gives_isomorphic_copy(self):
         q = loop_quiver()
         skew = skew_product(q, Cocycle(make_cyclic(1), {"e": "0"}))
-        assert iso_search(skew, q) is not None
+        iso = iso_search(skew, q)
+        assert iso is not None and check_iso(skew, q, iso)
 
     def test_z2_loop_becomes_two_cycle(self):
         q = loop_quiver()
@@ -315,7 +316,8 @@ class TestGrossTucker:
         # to the original one.
         target = skew_product(witness.quotient, witness.cocycle)
         assert check_iso(skew, target, witness_iso(witness))
-        assert iso_search(target, skew) is not None
+        iso = iso_search(target, skew)
+        assert iso is not None and check_iso(target, skew, iso)
 
     def test_trivial_group(self):
         q = loop_quiver()
@@ -612,7 +614,8 @@ def test_the_products_view_is_the_view_of_its_tuples():
         assert list(view.pos) == list(scan.pos)
         assert list(view.classes) == list(scan.classes)
         assert k_theory(p) == k_theory(copy)
-        assert iso_search(p, copy) is not None
+        iso = iso_search(p, copy)
+        assert iso is not None and check_iso(p, copy, iso)
 
 
 @pytest.mark.parametrize("kmap, message", [
